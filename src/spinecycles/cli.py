@@ -65,6 +65,11 @@ def _load_phi(path):
     return _load_phi_cached(path) if path else None
 
 
+def _require_enumerable(r: int) -> None:
+    if r > cycles.MAX_CYCLE_LENGTH:
+        raise ValueError(f"cycle enumeration supports r <= {cycles.MAX_CYCLE_LENGTH}, got r = {r}")
+
+
 def _warn_if_deep(ell: int, r: int) -> None:
     # DFS work is ~(ell+1)*ell^(r-1) walks per start vertex
     if ell >= 5 and r > 8:
@@ -99,6 +104,8 @@ class CensusConfig:
             raise ValueError(
                 f"no built-in modular polynomial for ell={self.ell}; pass --phi FILE"
             )
+        if self.with_oracle:
+            _require_enumerable(self.r)
 
 
 @dataclass
@@ -248,6 +255,7 @@ def run_validate(ell: int, r: int, primes: list[int], seed: int, phi_path=None) 
       * n_t even; n_s even for odd r
     For r a power of two everything is reported but nothing enforced.
     """
+    _require_enumerable(r)
     bound = predictor.kaneko_bound(ell, r)
     gate = bound.M if r % 2 else bound.M_strong
     experimental = predictor.is_even_power_of_two(r)
@@ -261,7 +269,7 @@ def run_validate(ell: int, r: int, primes: list[int], seed: int, phi_path=None) 
             raise ValueError(f"p = {p} does not exceed the applicable bound {float(gate)}")
         graph = ssgraph.build_graph(p, ell, seed=seed, phi=_load_phi(phi_path))
         found = cycles.enumerate_cycles(graph, r)
-        cen = cycles.census(graph, r)
+        cen = cycles.census_of(graph, r, found)
         sp = predictor.predict(ell, r, p)
         untainted = [c for c in found if not c.tainted]
         support = {c.spine_count for c in untainted}

@@ -154,7 +154,11 @@ def enumerate_cycles(graph: IsogenyGraph, r: int) -> list[DirectedCycle]:
 
 def census(graph: IsogenyGraph, r: int) -> CycleCensus:
     """Counts and the per-cycle spine-vertex histogram for length-r cycles."""
-    found = enumerate_cycles(graph, r)
+    return census_of(graph, r, enumerate_cycles(graph, r))
+
+
+def census_of(graph: IsogenyGraph, r: int, found: list[DirectedCycle]) -> CycleCensus:
+    """The census of `found`, the already enumerated length-r cycles of graph."""
     histogram: dict[int, int] = {}
     for c in found:
         histogram[c.spine_count] = histogram.get(c.spine_count, 0) + 1

@@ -23,8 +23,9 @@ from functools import lru_cache
 from math import lcm
 from typing import Literal
 
+from . import quadforms
 from .arith import is_prime, kronecker, moebius, factorize
-from .quadforms import Discriminant, DiscriminantProfile, discriminant_profile
+from .quadforms import Discriminant, InvariantViolation
 
 
 class BoundViolation(Exception):
@@ -82,7 +83,8 @@ def disc_set_dividing(ell: int, r: int) -> DiscriminantSet:
     discs = []
     for d in sorted(found):
         disc = Discriminant.of(d)
-        assert kronecker(d, ell) == 1 and disc.conductor % ell != 0
+        if kronecker(d, ell) != 1 or disc.conductor % ell == 0:
+            raise InvariantViolation(f"{ell} is not split and ell-fundamental in {d}")
         discs.append(disc)
     return DiscriminantSet(ell, r, "dividing", tuple(discs))
 
@@ -98,11 +100,14 @@ def _square_divisor_roots(n: int) -> list[int]:
 
 @lru_cache(maxsize=None)
 def disc_set_exact(ell: int, r: int) -> DiscriminantSet:
-    """Members of the dividing set whose prime form has order exactly r."""
+    """Members of the dividing set whose prime form has order exactly r.
+
+    Each test takes at most r compositions and no class number.
+    """
     keep = tuple(
         d
         for d in disc_set_dividing(ell, r)
-        if discriminant_profile(d.d, ell).ell_order == r
+        if quadforms.form_order(quadforms.prime_form(d, ell), d) == r
     )
     return DiscriminantSet(ell, r, "exact", keep)
 
@@ -129,11 +134,11 @@ class KanekoBound:
 
 @lru_cache(maxsize=None)
 def kaneko_bound(ell: int, r: int) -> KanekoBound:
-    values = disc_set_exact(ell, r).values()
+    # M is the largest D1 D2 / 4 over distinct pairs: the two largest |D|
+    top = sorted(-d for d in disc_set_exact(ell, r).values())[-2:]
     M = Fraction(4)
-    for i, d1 in enumerate(values):
-        for d2 in values[:i]:
-            M = max(M, Fraction(d1 * d2, 4))
+    if len(top) == 2:
+        M = max(M, Fraction(top[0] * top[1], 4))
     M_strong = None
     if r % 2 == 0:
         M_strong = max(kaneko_bound(ell, ri).M for ri in range(1, r))
@@ -188,21 +193,28 @@ class SpinePrediction:
     experimental: bool  # r a power of two: pointwise value is conjectural
 
 
+@lru_cache(maxsize=None)
+def _orbit_count(d: int, r: int) -> int:
+    """2h/r: the r-cycles one exact-order discriminant inert at p contributes."""
+    h = quadforms.class_number(d)
+    if h % r or h % quadforms.h2(d):
+        raise InvariantViolation(f"h({d}) = {h} is not divisible by both r = {r} and h2 = {quadforms.h2(d)}")
+    return 2 * h // r
+
+
 def _counts_at_residue(ell: int, r: int, m: int) -> tuple[int, int]:
     raw = 0
     for d in _divisors(r):
-        level = disc_set_dividing(ell, r // d)
         part = 0
-        for disc in level:
-            prof = discriminant_profile(disc.d, ell)
-            part += _delta_unchecked(disc.d, m) * prof.h2
+        for disc in disc_set_dividing(ell, r // d):
+            if _delta_unchecked(disc.d, m):
+                part += quadforms.h2(disc.d)
         raw += moebius(d) * part
     n_s = 2 * raw if r % 2 else raw
     n_t = 0
     for disc in disc_set_exact(ell, r):
         if kronecker(disc.d, m) == -1:
-            prof = discriminant_profile(disc.d, ell)
-            n_t += 2 * prof.h // r
+            n_t += _orbit_count(disc.d, r)
     return n_s, n_t
 
 
@@ -267,5 +279,6 @@ def average_limit(ell: int, r: int) -> Fraction:
     if is_prime(r):
         # prime-r corollary: the limit collapses to the exact-order set size
         expected = len(disc_set_exact(ell, r)) * (Fraction(1, 2) if r % 2 == 0 else 1)
-        assert value == expected, (value, expected)
+        if value != expected:
+            raise InvariantViolation(f"average limit {value} != exact-set size {expected} at prime r")
     return value

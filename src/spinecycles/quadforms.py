@@ -1,13 +1,14 @@
 """Imaginary quadratic discriminants and form class groups.
 
-Reduced-form enumeration, Dirichlet composition with Gauss reduction, class
-numbers, the genus invariant mu with h2 = 2^(mu-1), prime forms above a split
-prime ell and their class-group orders, and a brute-force two-torsion count
-that serves as an independent oracle for the genus-theory value.
+Dirichlet composition with Gauss reduction, prime forms above a split prime
+ell and their class-group orders, the genus invariant mu with h2 = 2^(mu-1),
+class numbers by reduced-form enumeration, and a brute-force two-torsion
+count that serves as an independent oracle for the genus-theory value.
 
-Everything here is exact integer arithmetic on tiny inputs (|D| up to ~10^6,
-class numbers well under 100), so classical algorithms are used throughout:
-reduction after every composition, no NUCOMP, trial division only.
+Costs differ: a prime-form order dividing r takes at most r compositions and
+h2 one factorization of |D|, but a class number enumerates O(|D|) forms, so
+callers ask for it only where they use it.  Exact integer arithmetic on small
+inputs (|D| up to ~10^6): reduction after every composition, no NUCOMP.
 """
 
 from __future__ import annotations
@@ -17,6 +18,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .arith import factorize, kronecker
+
+
+class InvariantViolation(Exception):
+    """An arithmetic identity that holds for correct code failed (a bug, not bad input)."""
 
 
 class NotSplit(Exception):
@@ -51,10 +56,12 @@ class Discriminant:
             d_k = s
             f = root
         else:
+            if root % 2:
+                raise InvariantViolation(f"{d} = {s} * {root}^2 with {s} = 2, 3 (mod 4)")
             d_k = 4 * s
-            assert root % 2 == 0
             f = root // 2
-        assert f * f * d_k == d
+        if f * f * d_k != d:
+            raise InvariantViolation(f"{d} != {f}^2 * {d_k}")
         return cls(d, d_k, f)
 
     def __int__(self):
@@ -188,18 +195,6 @@ def compose(f: BinaryQuadraticForm, g: BinaryQuadraticForm, D) -> BinaryQuadrati
     return reduce_form(BinaryQuadraticForm(a3, b3, c3))
 
 
-def form_pow(f: BinaryQuadraticForm, e: int, D) -> BinaryQuadraticForm:
-    result = principal_form(D)
-    acc = f.reduced()
-    while e:
-        if e & 1:
-            result = compose(result, acc, D)
-        e >>= 1
-        if e:
-            acc = compose(acc, acc, D)
-    return result
-
-
 def form_order(f: BinaryQuadraticForm, D) -> int:
     """Least k >= 1 with f^k principal."""
     ident = principal_form(D)
@@ -231,6 +226,7 @@ def genus_mu(D) -> int:
     return r + 2  # n = 0 mod 8
 
 
+@lru_cache(maxsize=None)
 def h2(D) -> int:
     """Size of the two-torsion subgroup cl(O_D)[2], from genus theory."""
     return 1 << (genus_mu(D) - 1)
@@ -254,32 +250,3 @@ def prime_form(D, ell: int) -> BinaryQuadraticForm:
         if (b - d) % 2 == 0 and (b * b - d) % (4 * ell) == 0:
             return reduce_form(BinaryQuadraticForm(ell, b, (b * b - d) // (4 * ell)))
     raise AssertionError("split prime admits a square root of D mod 4*ell")
-
-
-@dataclass(frozen=True)
-class DiscriminantProfile:
-    """Class-group data attached to one discriminant (and one split prime)."""
-
-    disc: Discriminant
-    h: int
-    mu: int
-    h2: int
-    ell_order: int | None
-
-    def __post_init__(self):
-        assert self.h2 == 1 << (self.mu - 1)
-        assert self.h % self.h2 == 0
-        if self.ell_order is not None:
-            assert self.h % self.ell_order == 0
-
-
-@lru_cache(maxsize=None)
-def discriminant_profile(d: int, ell: int | None = None) -> DiscriminantProfile:
-    disc = Discriminant.of(d)
-    order = None
-    if ell is not None:
-        try:
-            order = form_order(prime_form(disc, ell), disc)
-        except (NotSplit, NotEllFundamental):
-            order = None
-    return DiscriminantProfile(disc, class_number(d), genus_mu(d), h2(d), order)

@@ -159,9 +159,6 @@ class IsogenyGraph:
                 return m
         return 0
 
-    def neighbors(self, u: int) -> tuple[tuple[int, int], ...]:
-        return self.out_edges[u]
-
 
 def build_graph(p: int, ell: int, seed: int = 0, phi: ModularPolynomialData | None = None) -> IsogenyGraph:
     """Breadth-first closure of the ell-isogeny adjacency from a spine seed."""

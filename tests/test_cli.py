@@ -1,6 +1,6 @@
 import pytest
 
-from spinecycles import cli
+from spinecycles import _kernel, cli, cycles, ssgraph
 
 
 def run(capsys, *argv):
@@ -202,10 +202,40 @@ def test_validate_power_of_two_reported_not_enforced(capsys):
     assert "power of two" in out
 
 
+def test_validate_enumerates_once_per_prime(capsys, monkeypatch):
+    calls = []
+    real = _kernel.closed_walks
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(_kernel, "closed_walks", counted)
+    code, out, _ = run(capsys, "validate", "--ell", "2", "--r", "3", "--primes", "179,181,191")
+    assert code == 0 and out.count(" ok") == 3
+    assert calls == [3, 3, 3]
+
+
 def test_validate_rejects_prime_below_bound(capsys):
     code, _, err = run(capsys, "validate", "--ell", "3", "--r", "3", "--primes", "2777")
     assert code == 2
     assert "bound" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("census", "--ell", "2", "--r", "12", "--pmin", "101", "--pmax", "103", "--oracle", "-o"),
+    ("validate", "--ell", "2", "--r", "12", "--primes", "101"),
+])
+def test_cycle_length_above_enumeration_bound_is_usage_error(capsys, monkeypatch, tmp_path, argv):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("graph built")
+
+    monkeypatch.setattr(ssgraph, "build_graph", refuse)
+    if argv[-1] == "-o":
+        argv += (str(tmp_path / "deep.csv"),)
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and f"r <= {cycles.MAX_CYCLE_LENGTH}" in err
 
 
 # ---------------------------------------------------------------- residues --

@@ -1,11 +1,16 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from spinecycles import cli, quadforms
 from spinecycles import predictor as pr
 from spinecycles.arith import kronecker, moebius, primes_in
 from spinecycles.predictor import BoundViolation
-from spinecycles.quadforms import discriminant_profile
+from spinecycles.quadforms import InvariantViolation, class_number, form_order, h2, prime_form
 
 DIVIDING_3_3 = (-107, -104, -92, -83, -59, -44, -23, -11, -8)
 EXACT_3_3 = (-107, -104, -92, -83, -59, -44, -23)
@@ -27,9 +32,9 @@ def test_exact_sets_examples():
 
 def test_exact_order_really_is_r():
     for d in pr.disc_set_exact(3, 3):
-        assert discriminant_profile(d.d, 3).ell_order == 3
+        assert form_order(prime_form(d, 3), d) == 3
     for d in pr.disc_set_exact(2, 6):
-        assert discriminant_profile(d.d, 2).ell_order == 6
+        assert form_order(prime_form(d, 2), d) == 6
 
 
 @pytest.mark.parametrize("ell", (2, 3, 5))
@@ -53,8 +58,28 @@ def test_dividing_set_members_are_split_and_fundamental():
         for d in pr.disc_set_dividing(ell, r):
             assert kronecker(d.d, ell) == 1
             assert d.conductor % ell != 0
-            order = discriminant_profile(d.d, ell).ell_order
+            order = form_order(prime_form(d, ell), d)
             assert r % order == 0
+            h = class_number(d)
+            assert h % order == 0 and h % h2(d) == 0
+
+
+def test_exact_sets_and_bounds_need_no_class_numbers(monkeypatch, capsys):
+    def refuse(*_):
+        raise AssertionError("class number computed")
+
+    monkeypatch.setattr(quadforms, "_reduced_forms_cached", refuse)
+    monkeypatch.setattr(quadforms, "class_number", refuse)
+    for cached in (pr.disc_set_dividing, pr.disc_set_exact, pr.kaneko_bound):
+        cached.cache_clear()
+    assert len(pr.disc_set_exact(5, 7)) > 0
+    assert pr.kaneko_bound(5, 7).M >= 4
+    assert pr.average_limit(5, 7) == len(pr.disc_set_exact(5, 7))
+    pr.disc_set_exact.cache_clear()
+    pr.kaneko_bound.cache_clear()
+    assert cli.main(["discs", "5", "7", "--exact"]) == 0
+    assert cli.main(["bound", "5", "7"]) == 0
+    assert "operative=" in capsys.readouterr().out
 
 
 # ------------------------------------------------------------ Kaneko bounds --
@@ -63,6 +88,14 @@ def test_dividing_set_members_are_split_and_fundamental():
 def test_kaneko_bounds_pinned():
     assert pr.kaneko_bound(3, 3).M == 2782
     assert pr.kaneko_bound(5, 3).M == 61876
+
+
+@pytest.mark.parametrize("ell", (2, 3, 5))
+@pytest.mark.parametrize("r", range(1, 9))
+def test_kaneko_closed_form_matches_pairwise_maximum(ell, r):
+    values = pr.disc_set_exact(ell, r).values()
+    pairwise = max((d1 * d2 for i, d1 in enumerate(values) for d2 in values[:i]), default=0)
+    assert pr.kaneko_bound(ell, r).M == max(Fraction(4), Fraction(pairwise, 4))
 
 
 def test_kaneko_floor_case():
@@ -173,12 +206,19 @@ def test_ns_moebius_form_collapses_to_exact_sum():
             if p == ell:
                 continue
             sp = pr.predict(ell, r, p)
-            collapsed = sum(
-                pr._delta_unchecked(d.d, p) * discriminant_profile(d.d, ell).h2
-                for d in exact
-            )
+            collapsed = sum(pr._delta_unchecked(d.d, p) * h2(d) for d in exact)
             scale = 2 if r % 2 else 1
             assert sp.n_s == scale * collapsed, (ell, r, p)
+
+
+def test_orbit_count_rejects_class_numbers_breaking_divisibility(monkeypatch):
+    pr._orbit_count.cache_clear()
+    monkeypatch.setattr(quadforms, "class_number", lambda d: 4)  # h(-104) = 6
+    with pytest.raises(InvariantViolation, match="h\\(-104\\) = 4"):
+        pr._orbit_count(-104, 3)
+    monkeypatch.setattr(quadforms, "class_number", lambda d: 3)  # h2(-104) = 2
+    with pytest.raises(InvariantViolation):
+        pr._orbit_count(-104, 3)
 
 
 # ----------------------------------------------------------- residue census --
@@ -231,6 +271,21 @@ def test_average_limit_prime_r_shortcut():
     # prime r: the limit equals the exact-order family size
     assert pr.average_limit(3, 3) == len(pr.disc_set_exact(3, 3))
     assert pr.average_limit(5, 3) == len(pr.disc_set_exact(5, 3)) == 22
+
+
+def test_average_limit_invariant_fires_under_optimize():
+    script = (
+        "from spinecycles import predictor as pr\n"
+        "assert False, 'asserts are on'\n"
+        "pr.disc_set_exact = lambda ell, r: pr.DiscriminantSet(ell, r, 'exact', ())\n"
+        "pr.average_limit(3, 3)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(Path(pr.__file__).parents[1])},
+    )
+    assert done.returncode == 1
+    assert "InvariantViolation: average limit 7 != exact-set size 0" in done.stderr
 
 
 def test_average_limit_even_halved():

@@ -12,7 +12,6 @@ from spinecycles.quadforms import (
     NotSplit,
     class_number,
     compose,
-    discriminant_profile,
     form_order,
     genus_mu,
     h2,
@@ -239,8 +238,8 @@ def test_form_order_lagrange():
             assert h % form_order(f, d) == 0
 
 
-def test_discriminant_profile():
-    prof = discriminant_profile(-104, 3)
-    assert (prof.h, prof.mu, prof.h2, prof.ell_order) == (6, 2, 2, 3)
-    prof = discriminant_profile(-8, 5)
-    assert prof.ell_order is None  # 5 inert in Q(sqrt(-2))
+def test_class_group_data_of_one_discriminant():
+    assert (class_number(-104), genus_mu(-104), h2(-104)) == (6, 2, 2)
+    assert form_order(prime_form(-104, 3), -104) == 3
+    with pytest.raises(NotSplit):
+        prime_form(-8, 5)  # 5 inert in Q(sqrt(-2)): no prime form, no order
