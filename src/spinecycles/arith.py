@@ -1,13 +1,11 @@
-"""Exact integer and finite-field arithmetic.
+"""Exact integer arithmetic.
 
 Kronecker symbols, the Moebius function, trial-division factorization, a
-deterministic primality test for word-sized integers, and F_{p^2} arithmetic
-in the fixed basis {1, w} with w^2 = s for the least quadratic nonresidue s
-of F_p.  That basis choice makes "defined over F_p" a trivial b == 0 test and
-gives every prime a canonical representation.
-
-All randomness (the equal-degree splitting inside ``f2_roots``) derives from
-an explicit seed, so results are bit-reproducible.
+deterministic primality test for word-sized integers, a prime sieve, and the
+basis {1, w} of F_{p^2} with w^2 = s for the least quadratic nonresidue s of
+F_p.  That basis choice makes "defined over F_p" a trivial b == 0 test on an
+element a + b*w, stored as the pair (a, b), and gives every prime a canonical
+representation.  Arithmetic on those pairs lives in the root-finding kernel.
 """
 
 from __future__ import annotations
@@ -15,15 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import _kernel
-
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 MAX_PRIME = 1 << 63  # products of residues must fit in double-width integers
-
-
-class NonSplitInput(Exception):
-    """A polynomial handed to f2_roots has an irreducible nonlinear factor."""
 
 
 def is_prime(n: int) -> bool:
@@ -159,121 +151,3 @@ class PrimeContext:
             raise ValueError("nonresidue must be the least quadratic nonresidue of p")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "nonresidue", nonresidue)
-
-    def element(self, a: int, b: int = 0) -> "FieldElementF2":
-        return FieldElementF2(a % self.p, b % self.p, self)
-
-
-class FieldElementF2:
-    """a + b*w in F_{p^2} = F_p[w], w^2 = ctx.nonresidue; lies in F_p iff b == 0."""
-
-    __slots__ = ("a", "b", "ctx")
-
-    def __init__(self, a: int, b: int, ctx: PrimeContext):
-        self.a = a % ctx.p
-        self.b = b % ctx.p
-        self.ctx = ctx
-
-    def __repr__(self):
-        return f"{self.a}" if self.b == 0 else f"{self.a}+{self.b}w"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldElementF2)
-            and self.ctx.p == other.ctx.p
-            and self.a == other.a
-            and self.b == other.b
-        )
-
-    def __hash__(self):
-        return hash((self.ctx.p, self.a, self.b))
-
-    def __lt__(self, other):
-        return (self.a, self.b) < (other.a, other.b)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return FieldElementF2(self.a + other.a, self.b + other.b, self.ctx)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return FieldElementF2(self.a - other.a, self.b - other.b, self.ctx)
-
-    def __neg__(self):
-        return FieldElementF2(-self.a, -self.b, self.ctx)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        p, s = self.ctx.p, self.ctx.nonresidue
-        return FieldElementF2(
-            self.a * other.a + s * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-            self.ctx,
-        )
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = self.ctx.element(1)
-        acc = self
-        while e:
-            if e & 1:
-                result = result * acc
-            e >>= 1
-            if e:
-                acc = acc * acc
-        return result
-
-    def inverse(self):
-        p, s = self.ctx.p, self.ctx.nonresidue
-        n = (self.a * self.a - s * self.b * self.b) % p
-        ni = pow(n, p - 2, p)
-        return FieldElementF2(self.a * ni, -self.b * ni, self.ctx)
-
-    def frobenius(self):
-        """x -> x^p; the conjugate a - b*w, an involution fixing exactly F_p."""
-        return FieldElementF2(self.a, -self.b, self.ctx)
-
-    def in_fp(self) -> bool:
-        return self.b == 0
-
-    def pair(self) -> tuple[int, int]:
-        return (self.a, self.b)
-
-    def _coerce(self, other):
-        if isinstance(other, FieldElementF2):
-            return other
-        if isinstance(other, int):
-            return FieldElementF2(other, 0, self.ctx)
-        return NotImplemented
-
-
-def f2_roots(coeffs, ctx: PrimeContext, seed: int = 0) -> list[FieldElementF2]:
-    """The full multiset of roots in F_{p^2} of a polynomial of degree <= 8.
-
-    ``coeffs`` lists coefficients from the constant term up; entries may be
-    FieldElementF2, plain ints, or (a, b) pairs.  Output is sorted by (a, b)
-    and has exactly deg(f) entries counted with multiplicity.  Raises
-    NonSplitInput if an irreducible nonlinear factor remains.
-    """
-    pairs = []
-    for c in coeffs:
-        if isinstance(c, FieldElementF2):
-            pairs.append((c.a, c.b))
-        elif isinstance(c, int):
-            pairs.append((c % ctx.p, 0))
-        else:
-            a, b = c
-            pairs.append((a % ctx.p, b % ctx.p))
-    degree = len(pairs) - 1
-    while degree >= 0 and pairs[degree] == (0, 0):
-        degree -= 1
-    if degree > 8:
-        raise ValueError("f2_roots accepts degree at most 8")
-    found = _kernel.poly_roots(ctx.p, ctx.nonresidue, pairs, seed)
-    if found is None:
-        raise NonSplitInput("polynomial has an irreducible factor over F_{p^2}")
-    return [FieldElementF2(a, b, ctx) for a, b in found]

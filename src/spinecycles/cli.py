@@ -267,6 +267,7 @@ def run_validate(ell: int, r: int, primes: list[int], seed: int, phi_path=None) 
             raise ValueError(f"{p} is not an admissible prime")
         if p <= gate:
             raise ValueError(f"p = {p} does not exceed the applicable bound {float(gate)}")
+    for p in primes:
         graph = ssgraph.build_graph(p, ell, seed=seed, phi=_load_phi(phi_path))
         found = cycles.enumerate_cycles(graph, r)
         cen = cycles.census_of(graph, r, found)

@@ -93,20 +93,6 @@ class _EdgeTable:
         self.vert_start = vert_start
 
 
-def dual(e: EdgeRef, graph: IsogenyGraph) -> EdgeRef:
-    """The paired reverse edge of e (involutive away from j = 0, 1728)."""
-    back = graph.multiplicity(e.dst, e.src)
-    if back == 0:
-        raise ValueError("adjacency is not symmetric: missing reverse edge")
-    return EdgeRef(e.dst, e.src, e.copy if e.copy < back else e.copy % back)
-
-
-def opposite(edges: tuple[EdgeRef, ...], graph: IsogenyGraph) -> tuple[EdgeRef, ...]:
-    """The reverse traversal through dual edges, in minimal-rotation form."""
-    rev = tuple(dual(e, graph) for e in reversed(edges))
-    return _min_rotation(rev)
-
-
 def _min_rotation(seq):
     n = len(seq)
     best = seq
@@ -135,7 +121,7 @@ def enumerate_cycles(graph: IsogenyGraph, r: int) -> list[DirectedCycle]:
     raw = _kernel.closed_walks(r, table.edge_to, table.dual, table.vert_start)
     canonical = {_min_rotation(w) for w in raw}
     special = {i for i, v in enumerate(graph.vertices)
-               if v.pair() in ((0, 0), (1728 % graph.p, 0))}
+               if v in ((0, 0), (1728 % graph.p, 0))}
     out = []
     for walk in sorted(canonical):
         if _is_periodic(walk):

@@ -3,10 +3,13 @@
 Adjacency comes from the classical modular polynomial: the out-neighbors of a
 vertex j are the roots of Phi_ell(j, Y) in F_{p^2}, with multiplicity.  The
 graph is grown by breadth-first closure from one supersingular j-invariant in
-F_p (the graph is connected), vertices are sorted canonically by coordinates,
-and the spine is flagged as the b == 0 locus.  The vertex-count identity
-floor((p-1)/12) + eps is enforced as a hard postcondition so that any
-arithmetic defect fails loudly instead of corrupting a census.
+F_p (the graph is connected), vertices are the pairs (a, b) standing for
+a + b*w in the basis of ``arith.PrimeContext``, sorted canonically, and the
+spine is flagged as the b == 0 locus.  Off the spine the kernel finds roots
+at one vertex of each Frobenius pair (a, b), (a, -b) and the other row is its
+conjugate.  The vertex-count identity floor((p-1)/12) + eps is enforced as a
+hard postcondition so that any arithmetic defect fails loudly instead of
+corrupting a census.
 
 Built-in coefficient tables cover ell in {2, 3, 5, 7}; the same text format
 ("i j coefficient" per line, '#' comments, symmetric completion implied) can
@@ -21,7 +24,7 @@ from functools import lru_cache
 from importlib import resources
 
 from . import _kernel
-from .arith import FieldElementF2, NonSplitInput, PrimeContext
+from .arith import PrimeContext
 
 BUILTIN_LEVELS = (2, 3, 5, 7)
 
@@ -30,6 +33,14 @@ _EPS_BY_RESIDUE = {1: 0, 5: 1, 7: 1, 11: 2}
 
 class VertexCountMismatch(Exception):
     """BFS closure disagrees with floor((p-1)/12) + eps: an arithmetic bug."""
+
+
+class NonSplitInput(Exception):
+    """Phi_ell(j, Y) at a vertex j has no ell + 1 roots in F_{p^2}.
+
+    Either an irreducible nonlinear factor remains (j is not supersingular) or
+    the kernel returned the wrong number of roots: an arithmetic bug.
+    """
 
 
 @dataclass(frozen=True)
@@ -88,7 +99,8 @@ class ModularPolynomialData:
 def _builtin(ell: int) -> ModularPolynomialData:
     text = resources.files("spinecycles.data").joinpath(f"phi{ell}.txt").read_text()
     data = ModularPolynomialData.from_text(text)
-    assert data.ell == ell
+    if data.ell != ell:
+        raise ValueError(f"table phi{ell}.txt describes level {data.ell}")
     return data
 
 
@@ -115,7 +127,7 @@ def is_supersingular(j: int, ctx: PrimeContext) -> bool:
     return _kernel.curve_ap(p, a4, a6) == 0
 
 
-def find_supersingular_j(p: int, ctx: PrimeContext | None = None) -> int:
+def find_supersingular_j(p: int) -> int:
     """A supersingular j-invariant in F_p (the spine is never empty)."""
     if p <= 13:
         raise ValueError("p must exceed 13")
@@ -133,13 +145,9 @@ class IsogenyGraph:
 
     p: int
     ell: int
-    vertices: tuple[FieldElementF2, ...]  # sorted by (a, b)
+    vertices: tuple[tuple[int, int], ...]  # (a, b) for a + b*w, sorted
     out_edges: tuple[tuple[tuple[int, int], ...], ...]  # per vertex: (target, mult)
     spine: tuple[bool, ...]
-
-    def __post_init__(self):
-        index = {v.pair(): i for i, v in enumerate(self.vertices)}
-        object.__setattr__(self, "_index", index)
 
     @property
     def vertex_count(self) -> int:
@@ -148,10 +156,6 @@ class IsogenyGraph:
     @property
     def spine_size(self) -> int:
         return sum(self.spine)
-
-    def index_of(self, j) -> int:
-        pair = j.pair() if hasattr(j, "pair") else (j[0], j[1]) if isinstance(j, tuple) else (int(j) % self.p, 0)
-        return self._index[pair]
 
     def multiplicity(self, u: int, v: int) -> int:
         for w, m in self.out_edges[u]:
@@ -172,16 +176,25 @@ def build_graph(p: int, ell: int, seed: int = 0, phi: ModularPolynomialData | No
         raise ValueError(f"level {data.ell} exceeds kernel degree capacity")
     phimod = _kernel.PhiMod(p, ctx.nonresidue, data.ell, data.reduced_rows(p))
 
-    j0 = (find_supersingular_j(p, ctx), 0)
+    j0 = (find_supersingular_j(p), 0)
     adjacency: dict[tuple[int, int], tuple[tuple[tuple[int, int], int], ...]] = {}
     queue = deque([j0])
     pending = {j0}
     while queue:
         v = queue.popleft()
-        found = phimod.roots(v[0], v[1], seed)
-        if found is None:
-            raise NonSplitInput(f"Phi_{data.ell}({v}, Y) does not split: non-supersingular vertex?")
-        grouped = tuple(sorted(Counter(found).items()))
+        conj = (v[0], -v[1] % p)
+        if conj in adjacency:
+            # Phi_ell has integer coefficients, so Frobenius maps the roots at
+            # conj(v) onto the roots at v, multiplicities included
+            grouped = tuple(sorted(((w[0], -w[1] % p), m) for w, m in adjacency[conj]))
+        else:
+            found = phimod.roots(v[0], v[1], seed)
+            if found is None or len(found) != data.ell + 1:
+                raise NonSplitInput(
+                    f"Phi_{data.ell}({_label(v)}, Y) does not split into {data.ell + 1} roots"
+                    f" in F_{{p^2}} at p = {p}"
+                )
+            grouped = tuple(sorted(Counter(found).items()))
         adjacency[v] = grouped
         for w, _ in grouped:
             if w not in pending:
@@ -199,11 +212,13 @@ def build_graph(p: int, ell: int, seed: int = 0, phi: ModularPolynomialData | No
     out_edges = tuple(
         tuple(sorted((index[w], m) for w, m in adjacency[v])) for v in ordering
     )
-    for row in out_edges:
-        assert sum(m for _, m in row) == data.ell + 1
-    vertices = tuple(FieldElementF2(a, b, ctx) for a, b in ordering)
     spine = tuple(b == 0 for _, b in ordering)
-    return IsogenyGraph(p=p, ell=data.ell, vertices=vertices, out_edges=out_edges, spine=spine)
+    return IsogenyGraph(p=p, ell=data.ell, vertices=tuple(ordering), out_edges=out_edges, spine=spine)
+
+
+def _label(v: tuple[int, int]) -> str:
+    a, b = v
+    return f"{a}" if b == 0 else f"{a}+{b}w"
 
 
 def to_dot(graph: IsogenyGraph) -> str:
@@ -211,7 +226,7 @@ def to_dot(graph: IsogenyGraph) -> str:
     lines = [f"digraph ssgraph_p{graph.p}_l{graph.ell} {{"]
     for i, v in enumerate(graph.vertices):
         shape = "doublecircle" if graph.spine[i] else "circle"
-        lines.append(f'  v{i} [label="{v}", shape={shape}];')
+        lines.append(f'  v{i} [label="{_label(v)}", shape={shape}];')
     for u, row in enumerate(graph.out_edges):
         for w, mult in row:
             for _ in range(mult):

@@ -114,14 +114,14 @@ def test_criterion_05_worked_prime_4643():
     )
     cycles23 = [
         c for c in found
-        if frozenset(graph.vertices[v].pair() for v in c.vertex_indices()) == row23
+        if frozenset(graph.vertices[v] for v in c.vertex_indices()) == row23
     ]
     offspine = [c for c in found if c.spine_count == 0]
     off_verts = frozenset(
-        graph.vertices[v].pair() for c in offspine for v in c.vertex_indices()
+        graph.vertices[v] for c in offspine for v in c.vertex_indices()
     )
     checks["two -23 cycles, spine vertex 173"] = len(cycles23) == 2 and all(
-        graph.vertices[v].a == 173
+        graph.vertices[v] == (173, 0)
         for c in cycles23
         for v in c.vertex_indices()
         if graph.spine[v]

@@ -2,12 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinecycles import arith
+from spinecycles import _kernel
+from spinecycles._pure import _p_mul
 from spinecycles.arith import (
-    FieldElementF2,
-    NonSplitInput,
     PrimeContext,
-    f2_roots,
     factorize,
     is_prime,
     kronecker,
@@ -138,52 +136,32 @@ def test_prime_context_rejects_bad_input():
         PrimeContext(4643, nonresidue=3)  # 2 is already a nonresidue
 
 
-def test_frobenius_involution_fixes_exactly_fp():
-    ctx = PrimeContext(4643)
-    for a, b in [(0, 0), (1, 0), (173, 0), (5, 7), (4642, 4642), (2128, 1430)]:
-        x = ctx.element(a, b)
-        assert x.frobenius().frobenius() == x
-        assert (x.frobenius() == x) == (b == 0)
-        # frobenius really is x -> x^p
-        assert x.frobenius() == x ** ctx.p
+# ------------------------------------------------------ roots in F_{p^2} --
+# The kernel's root finder, on (a, b) pairs in the PrimeContext basis.
 
 
-def test_field_arithmetic_basics():
-    ctx = PrimeContext(101)
-    w2 = ctx.element(0, 1) * ctx.element(0, 1)
-    assert w2 == ctx.element(ctx.nonresidue)
-    x = ctx.element(17, 31)
-    assert x * x.inverse() == ctx.element(1)
-    assert x + (-x) == ctx.element(0)
-    assert x ** (101 * 101 - 1) == ctx.element(1)
+def _roots(coeffs, ctx, seed=0):
+    return _kernel.poly_roots(ctx.p, ctx.nonresidue, coeffs, seed)
 
 
-# ----------------------------------------------------------------- f2_roots --
+def _from_roots(roots, ctx):
+    """The monic polynomial with the given roots, as (a, b) coefficient pairs."""
+    p = ctx.p
+    poly = [(1, 0)]
+    for a, b in roots:
+        poly = _p_mul(poly, [(-a % p, -b % p), (1, 0)], p, ctx.nonresidue)
+    return poly
 
 
 def test_f2_roots_quadratic_units():
     ctx = PrimeContext(4643)
-    assert f2_roots([-1, 0, 1], ctx) == [ctx.element(1), ctx.element(-1)]
+    assert _roots([(-1, 0), (0, 0), (1, 0)], ctx) == [(1, 0), (4642, 0)]
 
 
 def test_f2_roots_constructed_multiplicity():
     ctx = PrimeContext(4643)
-    c = ctx.element(12, 7)
-    e = ctx.element(90, 0)
-    # (Y - c)^2 (Y - e)
-    one = ctx.element(1)
-    poly = [one]
-    for root in (c, c, e):
-        poly = _poly_mul(poly, [-root, one], ctx)
-    assert f2_roots(poly, ctx) == sorted([c, c, e])
-
-
-def _poly_mul(f, g, ctx):
-    out = [ctx.element(0)] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for k, b in enumerate(g):
-            out[i + k] = out[i + k] + a * b
-    return out
+    c, e = (12, 7), (90, 0)
+    assert _roots(_from_roots([c, c, e], ctx), ctx) == sorted([c, c, e])
 
 
 @settings(max_examples=60, deadline=None)
@@ -192,52 +170,45 @@ def test_f2_roots_recovers_random_multisets(data):
     ctx = PrimeContext(1019)
     deg = data.draw(st.integers(1, 8))
     roots = sorted(
-        ctx.element(data.draw(st.integers(0, 1018)), data.draw(st.integers(0, 1018)))
+        (data.draw(st.integers(0, 1018)), data.draw(st.integers(0, 1018)))
         for _ in range(deg)
     )
-    poly = [ctx.element(1)]
-    for root in roots:
-        poly = _poly_mul(poly, [-root, ctx.element(1)], ctx)
     seed = data.draw(st.integers(0, 2**32))
-    assert f2_roots(poly, ctx, seed=seed) == roots
+    assert _roots(_from_roots(roots, ctx), ctx, seed=seed) == roots
 
 
-def test_f2_roots_nonsplit_raises():
+def test_f2_roots_nonsplit_returns_none():
     ctx = PrimeContext(101)
+    p, s = ctx.p, ctx.nonresidue
     # Y^2 - z for z a nonsquare of F_{p^2}: its roots live in F_{p^4}
     z = _nonsquare_fp2(ctx)
-    with pytest.raises(NonSplitInput):
-        f2_roots([-z, ctx.element(0), ctx.element(1)], ctx)
+    y2_minus_z = [(-z[0] % p, -z[1] % p), (0, 0), (1, 0)]
+    assert _roots(y2_minus_z, ctx) is None
     # and buried inside a product with a linear factor
-    poly = _poly_mul([-z, ctx.element(0), ctx.element(1)], [-ctx.element(3), ctx.element(1)], ctx)
-    with pytest.raises(NonSplitInput):
-        f2_roots(poly, ctx)
+    assert _roots(_p_mul(y2_minus_z, [(p - 3, 0), (1, 0)], p, s), ctx) is None
 
 
 def _nonsquare_fp2(ctx):
-    p = ctx.p
-    e = (p * p - 1) // 2
+    # z^((p^2-1)/2) = N(z)^((p-1)/2): z is a square in F_{p^2} iff its norm is a square in F_p
+    p, s = ctx.p, ctx.nonresidue
     for a in range(1, p):
         for b in range(1, p):
-            x = ctx.element(a, b)
-            if x**e == ctx.element(-1):
-                return x
+            if kronecker(a * a - s * b * b, p) == -1:
+                return (a, b)
     raise AssertionError("no nonsquare found")
 
 
 def test_f2_roots_degree_cap():
     ctx = PrimeContext(101)
     with pytest.raises(ValueError):
-        f2_roots([1] * 10, ctx)  # degree 9
+        _roots([(1, 0)] * (_kernel.MAX_POLY_DEGREE + 2), ctx)
 
 
 def test_f2_roots_seed_independence():
     # output is sorted, so every seed gives the same answer
     ctx = PrimeContext(4643)
-    poly = [ctx.element(1)]
-    for root in (ctx.element(4, 1), ctx.element(9, 0), ctx.element(4, 1), ctx.element(7, 3)):
-        poly = _poly_mul(poly, [-root, ctx.element(1)], ctx)
-    results = {tuple(f2_roots(poly, ctx, seed=s)) for s in range(8)}
+    poly = _from_roots([(4, 1), (9, 0), (4, 1), (7, 3)], ctx)
+    results = {tuple(_roots(poly, ctx, seed=s)) for s in range(8)}
     assert len(results) == 1
 
 
@@ -247,16 +218,14 @@ def test_f2_roots_of_phi3_at_1728_supersingular(graph_4643_3):
 
     ctx = PrimeContext(4643)
     data = ssgraph.ModularPolynomialData.load(3)
-    coeffs = []
-    for k in range(5):
-        total = ctx.element(0)
-        for i in range(5):
-            total = total + ctx.element(data.coefficient(i, k)) * ctx.element(1728) ** i
-        coeffs.append(total)
-    roots = f2_roots(coeffs, ctx)
+    coeffs = [
+        (sum(data.coefficient(i, k) * 1728**i for i in range(5)) % ctx.p, 0)
+        for k in range(5)
+    ]
+    roots = _roots(coeffs, ctx)
     assert len(roots) == 4
-    vertex_set = {v.pair() for v in graph_4643_3.vertices}
-    for root in roots:
-        assert root.pair() in vertex_set
-        if root.in_fp():
-            assert ssgraph.is_supersingular(root.a, ctx)
+    vertex_set = set(graph_4643_3.vertices)
+    for a, b in roots:
+        assert (a, b) in vertex_set
+        if b == 0:
+            assert ssgraph.is_supersingular(a, ctx)

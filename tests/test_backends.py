@@ -78,8 +78,8 @@ def test_phimod_agree():
     pm_pure = _pure.PhiMod(p, 2, 5, rows)
     pm_fast = fast.PhiMod(p, 2, 5, rows)
     g = ssgraph.build_graph(p, 5)
-    for v in g.vertices[:40]:
-        assert pm_pure.roots(v.a, v.b, 0) == pm_fast.roots(v.a, v.b, 0)
+    for a, b in g.vertices[:40]:
+        assert pm_pure.roots(a, b, 0) == pm_fast.roots(a, b, 0)
 
 
 def test_full_graph_identical_across_backends(monkeypatch):

@@ -222,6 +222,18 @@ def test_validate_rejects_prime_below_bound(capsys):
     assert "bound" in err
 
 
+@pytest.mark.parametrize("primes", ["2789,2777", "2789,2793"])
+def test_validate_checks_every_prime_before_building(capsys, monkeypatch, primes):
+    # 2777 is below the (3, 3) bound, 2793 = 3 * 7^2 * 19 is composite
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("graph built")
+
+    monkeypatch.setattr(ssgraph, "build_graph", refuse)
+    code, _, err = run(capsys, "validate", "--ell", "3", "--r", "3", "--primes", primes)
+    assert code == 2
+    assert err.startswith("error:")
+
+
 @pytest.mark.parametrize("argv", [
     ("census", "--ell", "2", "--r", "12", "--pmin", "101", "--pmax", "103", "--oracle", "-o"),
     ("validate", "--ell", "2", "--r", "12", "--primes", "101"),

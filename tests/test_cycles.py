@@ -7,10 +7,18 @@ from spinecycles.cycles import (
     DirectedCycle,
     EdgeRef,
     census,
-    dual,
     enumerate_cycles,
-    opposite,
 )
+
+
+def dual(e: EdgeRef, table: cycles._EdgeTable) -> EdgeRef:
+    """The paired reverse edge of e (involutive away from j = 0, 1728)."""
+    return table.edges[table.dual[table.index[(e.src, e.dst, e.copy)]]]
+
+
+def opposite(edges: tuple[EdgeRef, ...], table: cycles._EdgeTable) -> tuple[EdgeRef, ...]:
+    """The reverse traversal through dual edges, in minimal-rotation form."""
+    return cycles._min_rotation(tuple(dual(e, table) for e in reversed(edges)))
 
 
 def _table1_vertex_sets(p=4643):
@@ -47,7 +55,7 @@ def _table1_vertex_sets(p=4643):
 def test_dual_simple_edge(graph_101_2):
     e = EdgeRef(0, 1, 0)
     if graph_101_2.multiplicity(0, 1):
-        d = dual(e, graph_101_2)
+        d = dual(e, cycles._EdgeTable(graph_101_2))
         assert (d.src, d.dst) == (1, 0)
 
 
@@ -55,16 +63,13 @@ def test_dual_involution_structure_4643(graph_4643_3):
     # involutive away from j = 0, 1728; at p = 4643 both special j-invariants
     # are supersingular and carry the only multiplicity asymmetries
     g = graph_4643_3
-    special = {g.index_of(0), g.index_of(1728)}
+    special = {g.vertices.index((0, 0)), g.vertices.index((1728, 0))}
     table = cycles._EdgeTable(g)
     broken = set()
     for i, e in enumerate(table.edges):
-        back = dual(e, g)
-        if dual(back, g) != e:
+        if dual(dual(e, table), table) != e:
             broken.add(i)
             assert e.src in special or e.dst in special
-        else:
-            assert table.dual[table.dual[i]] == i
     # the asymmetry is real at this prime: j = 0 has a triple out-edge whose
     # reverse is simple, j = 1728 two double out-edges with simple reverses
     assert len(broken) == 4
@@ -72,11 +77,12 @@ def test_dual_involution_structure_4643(graph_4643_3):
 
 def test_dual_pairs_parallel_copies(graph_4643_3):
     g = graph_4643_3
+    table = cycles._EdgeTable(g)
     for u, row in enumerate(g.out_edges):
         for w, mult in row:
             if mult > 1 and g.multiplicity(w, u) == mult:
                 for c in range(mult):
-                    assert dual(EdgeRef(u, w, c), g) == EdgeRef(w, u, c)
+                    assert dual(EdgeRef(u, w, c), table) == EdgeRef(w, u, c)
                 return
 
 
@@ -98,7 +104,7 @@ def test_worked_prime_table1_vertex_sets(graph_4643_3):
     expected = _table1_vertex_sets()
     seen = {}
     for c in found:
-        verts = frozenset(g.vertices[v].pair() for v in c.vertex_indices())
+        verts = frozenset(g.vertices[v] for v in c.vertex_indices())
         seen[verts] = seen.get(verts, 0) + 1
     # -23 and -92 each give one undirected triangle, traversed both ways
     assert seen[expected[-23]] == 2
@@ -115,7 +121,7 @@ def test_worked_prime_spine_vertices(graph_4643_3):
     found = enumerate_cycles(g, 3)
     spine_js = sorted(
         {
-            g.vertices[v].a
+            g.vertices[v][0]
             for c in found
             for v in c.vertex_indices()
             if g.spine[v] and c.spine_count
@@ -123,17 +129,18 @@ def test_worked_prime_spine_vertices(graph_4643_3):
     )
     assert spine_js == [173, 4537]
     # each of the two spine vertices lies on exactly two directed cycles
-    i173 = g.index_of(173)
-    i4537 = g.index_of(4537)
+    i173 = g.vertices.index((173, 0))
+    i4537 = g.vertices.index((4537, 0))
     assert sum(1 for c in found if i173 in c.vertex_indices()) == 2
     assert sum(1 for c in found if i4537 in c.vertex_indices()) == 2
 
 
 def test_opposite_closure(graph_4643_3):
     found = enumerate_cycles(graph_4643_3, 3)
+    table = cycles._EdgeTable(graph_4643_3)
     canon = {c.edges for c in found}
     for c in found:
-        opp = opposite(c.edges, graph_4643_3)
+        opp = opposite(c.edges, table)
         assert opp in canon
         assert opp != c.edges  # directed counting: opposite is distinct
     assert len(found) % 2 == 0
@@ -161,10 +168,10 @@ def test_consecutive_edges_chain(graph_4643_3):
 
 
 def test_no_backtracking_including_wraparound(graph_4643_3):
-    g = graph_4643_3
-    for c in enumerate_cycles(g, 3):
+    table = cycles._EdgeTable(graph_4643_3)
+    for c in enumerate_cycles(graph_4643_3, 3):
         for i, e in enumerate(c.edges):
-            assert c.edges[(i + 1) % 3] != dual(e, g)
+            assert c.edges[(i + 1) % 3] != dual(e, table)
 
 
 def test_depth_limits(graph_101_2):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from spinecycles import ssgraph
@@ -112,13 +117,14 @@ def test_supersingular_count_matches_spine(graph_101_2):
     ctx = PrimeContext(101)
     count = sum(1 for j in range(101) if is_supersingular(j, ctx))
     assert count == graph_101_2.spine_size
-    spine_js = {v.a for i, v in enumerate(graph_101_2.vertices) if graph_101_2.spine[i]}
+    spine_js = {a for i, (a, _) in enumerate(graph_101_2.vertices) if graph_101_2.spine[i]}
     assert spine_js == {j for j in range(101) if is_supersingular(j, ctx)}
 
 
 def test_spine_is_ell_independent():
-    spine2 = {v.a for i, v in enumerate(build_graph(101, 2).vertices) if build_graph(101, 2).spine[i]}
-    spine3 = {v.a for i, v in enumerate(build_graph(101, 3).vertices) if build_graph(101, 3).spine[i]}
+    g2, g3 = build_graph(101, 2), build_graph(101, 3)
+    spine2 = {a for (a, _), on in zip(g2.vertices, g2.spine) if on}
+    spine3 = {a for (a, _), on in zip(g3.vertices, g3.spine) if on}
     assert spine2 == spine3
 
 
@@ -176,13 +182,15 @@ def test_build_deterministic():
 
 def test_spine_flags_are_frobenius_fixed_points(graph_4643_3):
     g = graph_4643_3
-    for i, v in enumerate(g.vertices):
-        assert g.spine[i] == (v.frobenius() == v) == v.in_fp()
+    for i, (a, b) in enumerate(g.vertices):
+        frobenius = (a, -b % g.p)  # (a + b*w)^p = a - b*w
+        assert g.spine[i] == (frobenius == (a, b)) == (b == 0)
 
 
 def test_frobenius_is_graph_automorphism(graph_4643_3):
     g = graph_4643_3
-    perm = [g.index_of(v.frobenius()) for v in g.vertices]
+    index = {v: i for i, v in enumerate(g.vertices)}
+    perm = [index[(a, -b % g.p)] for a, b in g.vertices]
     for u in range(g.vertex_count):
         image = sorted((perm[w], m) for w, m in g.out_edges[u])
         assert image == list(g.out_edges[perm[u]])
@@ -192,19 +200,67 @@ def test_edge_symmetry_away_from_special(graph_4643_3):
     g = graph_4643_3
     special = {(0, 0), (1728 % g.p, 0)}
     for u, row in enumerate(g.out_edges):
-        if g.vertices[u].pair() in special:
+        if g.vertices[u] in special:
             continue
         for w, m in row:
-            if g.vertices[w].pair() in special:
+            if g.vertices[w] in special:
                 continue
             assert g.multiplicity(w, u) == m
 
 
 def test_special_vertices_present_when_supersingular(graph_4643_3):
     # 4643 = 3 mod 4: j = 1728 is a vertex; 101 = 2 mod 3: j = 0 is a vertex
-    assert any(v.pair() == (1728, 0) for v in graph_4643_3.vertices)
-    g101 = build_graph(101, 2)
-    assert any(v.pair() == (0, 0) for v in g101.vertices)
+    assert (1728, 0) in graph_4643_3.vertices
+    assert (0, 0) in build_graph(101, 2).vertices
+
+
+@pytest.mark.parametrize("p, ell", [(1009, 3), (1021, 2), (1031, 5)])
+def test_roots_found_once_per_frobenius_orbit(monkeypatch, p, ell):
+    # build_graph asks the kernel at one vertex of each pair {v, conj(v)} and
+    # conjugates the other; every row must still equal the kernel's own roots
+    calls = []
+    real = ssgraph._kernel.PhiMod
+
+    class Counting:
+        def __init__(self, *args):
+            self.inner = real(*args)
+
+        def roots(self, ja, jb, seed):
+            calls.append((ja, jb))
+            return self.inner.roots(ja, jb, seed)
+
+    monkeypatch.setattr(ssgraph._kernel, "PhiMod", Counting)
+    g = build_graph(p, ell)
+    assert len(calls) == len(set(calls)) == g.spine_size + (g.vertex_count - g.spine_size) // 2
+    ctx = PrimeContext(p)
+    phimod = real(p, ctx.nonresidue, ell, ModularPolynomialData.load(ell).reduced_rows(p))
+    for v, row in zip(g.vertices, g.out_edges):
+        found = phimod.roots(v[0], v[1], 7)
+        assert sorted(found) == sorted(g.vertices[w] for w, m in row for _ in range(m))
+
+
+def test_out_degree_check_fires_under_optimize():
+    # the kernel loses one of the three roots at j = 0, the seed at p = 101; the
+    # closure still reaches all 9 vertices, so only the out-degree check can fire
+    script = (
+        "from spinecycles import _kernel, ssgraph\n"
+        "assert False, 'asserts are on'\n"
+        "real = _kernel.PhiMod\n"
+        "class DropOne:\n"
+        "    def __init__(self, *args):\n"
+        "        self.inner = real(*args)\n"
+        "    def roots(self, ja, jb, seed):\n"
+        "        found = self.inner.roots(ja, jb, seed)\n"
+        "        return found[1:] if (ja, jb) == (0, 0) else found\n"
+        "_kernel.PhiMod = DropOne\n"
+        "ssgraph.build_graph(101, 2)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(Path(ssgraph.__file__).parents[1])},
+    )
+    assert done.returncode == 1
+    assert "NonSplitInput: Phi_2(0, Y) does not split into 3 roots in F_{p^2} at p = 101" in done.stderr
 
 
 def test_build_rejects_bad_input():
@@ -215,8 +271,7 @@ def test_build_rejects_bad_input():
 
 
 def test_vertices_sorted_canonically(graph_4643_3):
-    pairs = [v.pair() for v in graph_4643_3.vertices]
-    assert pairs == sorted(pairs)
+    assert list(graph_4643_3.vertices) == sorted(graph_4643_3.vertices)
 
 
 def test_to_dot_marks_spine(graph_101_2):
@@ -226,3 +281,50 @@ def test_to_dot_marks_spine(graph_101_2):
     # every edge copy appears
     total_edges = sum(m for row in graph_101_2.out_edges for _, m in row)
     assert dot.count("->") == total_edges
+
+
+# vertex labels are a or a+bw in the basis {1, w}, w^2 = 2 at p = 101
+DOT_101_2 = (
+    "digraph ssgraph_p101_l2 {\n"
+    '  v0 [label="0", shape=doublecircle];\n'
+    '  v1 [label="3", shape=doublecircle];\n'
+    '  v2 [label="21", shape=doublecircle];\n'
+    '  v3 [label="37+1w", shape=circle];\n'
+    '  v4 [label="37+100w", shape=circle];\n'
+    '  v5 [label="57", shape=doublecircle];\n'
+    '  v6 [label="59", shape=doublecircle];\n'
+    '  v7 [label="64", shape=doublecircle];\n'
+    '  v8 [label="66", shape=doublecircle];\n'
+    "  v0 -> v8;\n"
+    "  v0 -> v8;\n"
+    "  v0 -> v8;\n"
+    "  v1 -> v6;\n"
+    "  v1 -> v7;\n"
+    "  v1 -> v7;\n"
+    "  v2 -> v2;\n"
+    "  v2 -> v3;\n"
+    "  v2 -> v4;\n"
+    "  v3 -> v2;\n"
+    "  v3 -> v5;\n"
+    "  v3 -> v8;\n"
+    "  v4 -> v2;\n"
+    "  v4 -> v5;\n"
+    "  v4 -> v8;\n"
+    "  v5 -> v3;\n"
+    "  v5 -> v4;\n"
+    "  v5 -> v7;\n"
+    "  v6 -> v1;\n"
+    "  v6 -> v6;\n"
+    "  v6 -> v6;\n"
+    "  v7 -> v1;\n"
+    "  v7 -> v1;\n"
+    "  v7 -> v5;\n"
+    "  v8 -> v0;\n"
+    "  v8 -> v3;\n"
+    "  v8 -> v4;\n"
+    "}\n"
+)
+
+
+def test_to_dot_golden(graph_101_2):
+    assert to_dot(graph_101_2) == DOT_101_2
