@@ -11,9 +11,21 @@ both expose the same five entry points with identical semantics:
 
 F_{p^2} is F_p[w] with w^2 = s for a quadratic nonresidue s; elements are
 (a, b) pairs meaning a + b*w.  Polynomials are lists of such pairs, index =
-degree.  Root finding is probabilistic equal-degree splitting driven by a
-splitmix64 stream, so results are reproducible from the seed (and are sorted,
-so any seed yields the same output).
+degree.
+
+Root finding computes one p-th power per call, yp = Y^p mod sqf on the
+squarefree part sqf = f / gcd(f, f'), and derives every other Frobenius
+image from it by composition (von zur Gathen and Shoup 1992).  Raising to
+the p-th power maps sum c_i Y^i to sum conj(c_i) Y^(ip), where conj(a + b*w)
+= a - b*w, so Y^(p^2) = conj(yp)(yp) mod sqf, and gcd(sqf, Y^(p^2) - Y) is
+the part that splits over F_{p^2}; f splits iff that part is all of sqf.
+The split part is factored by Cantor-Zassenhaus: for a random alpha,
+(Y + alpha)^((p^2-1)/2) = ((yp + conj(alpha)) (Y + alpha))^((p-1)/2) is 1
+at the roots y with y + alpha a nonzero square of F_{p^2}, so its gcd with
+g - 1 splits a factor g about in half, and yp reduced mod each part serves
+the next split.  The alphas come from a splitmix64 stream, so results are
+reproducible from the seed (and are sorted, so any seed yields the same
+output).
 """
 
 MAX_POLY_DEGREE = 18  # capacity bound; callers enforce their own limits
@@ -82,20 +94,20 @@ def _p_mul(f, g, p, s):
 
 def _p_divmod(f, g, p, s):
     # g nonzero; returns (q, r) with f = q*g + r, deg r < deg g
-    rem = list(f)
+    rem = _p_strip(list(f))
     dg = len(g) - 1
-    ginv = _f2_inv(g[-1], p, s)
-    q = [(0, 0)] * max(len(f) - dg, 0)
-    while len(rem) - 1 >= dg and _p_strip(rem):
-        dr = len(rem) - 1
-        if dr < dg:
-            break
-        coef = _f2_mul(rem[-1], ginv, p, s)
-        q[dr - dg] = coef
-        for i in range(dg + 1):
-            ca, cb = _f2_mul(coef, g[i], p, s)
-            ra, rb = rem[dr - dg + i]
-            rem[dr - dg + i] = ((ra - ca) % p, (rb - cb) % p)
+    # a monic divisor, as every modulus of the root finder is, needs no inverse
+    ginv = None if g[-1] == (1, 0) else _f2_inv(g[-1], p, s)
+    q = [(0, 0)] * max(len(rem) - dg, 0)
+    while len(rem) > dg:
+        # the leading term cancels exactly, so it is popped, not subtracted
+        ca, cb = rem.pop() if ginv is None else _f2_mul(rem.pop(), ginv, p, s)
+        k = len(rem) - dg
+        q[k] = (ca, cb)
+        for i in range(dg):
+            ga, gb = g[i]
+            ra, rb = rem[k + i]
+            rem[k + i] = ((ra - ca * ga - s * cb * gb) % p, (rb - ca * gb - cb * ga) % p)
         _p_strip(rem)
     return _p_strip(q), rem
 
@@ -127,13 +139,23 @@ def _p_derivative(f, p):
     return _p_strip([((i * a) % p, (i * b) % p) for i, (a, b) in enumerate(f)][1:])
 
 
-def _cz_distinct_roots(h, p, s, rng):
-    """Distinct roots of a monic squarefree polynomial splitting over F_{p^2}."""
+def _p_add_const(f, c, p):
+    """f + c for a constant c of F_{p^2}."""
+    out = list(f) if f else [(0, 0)]
+    out[0] = ((out[0][0] + c[0]) % p, (out[0][1] + c[1]) % p)
+    return _p_strip(out)
+
+
+def _cz_distinct_roots(h, yp, p, s, rng):
+    """Distinct roots of a monic squarefree polynomial splitting over F_{p^2}.
+
+    yp is Y^p mod h.
+    """
     roots = []
-    stack = [h]
+    stack = [(h, yp)]
     half = (p - 1) >> 1
     while stack:
-        g = stack.pop()
+        g, yg = stack.pop()
         d = len(g) - 1
         if d <= 0:
             continue
@@ -142,15 +164,15 @@ def _cz_distinct_roots(h, p, s, rng):
             continue
         while True:
             alpha = (rng.next() % p, rng.next() % p)
-            w = _p_powmod([alpha, (1, 0)], half, g, p, s)
-            w = _p_powmod(w, p + 1, g, p, s)
+            # (Y+alpha)^(p+1) = (Y^p + conj(alpha)) (Y+alpha)
+            w = _p_mulmod(_p_add_const(yg, (alpha[0], -alpha[1]), p), [alpha, (1, 0)], g, p, s)
             # w = (Y+alpha)^((p^2-1)/2) mod g; roots split by w == 1
-            w = list(w) if w else [(0, 0)]
-            w[0] = ((w[0][0] - 1) % p, w[0][1])
-            d1 = _p_gcd(g, _p_strip(w), p, s)
+            w = _p_add_const(_p_powmod(w, half, g, p, s), (-1, 0), p)
+            d1 = _p_gcd(g, w, p, s)
             if d1 and 0 < len(d1) - 1 < d:
-                stack.append(d1)
-                stack.append(_p_divmod(g, d1, p, s)[0])
+                d2 = _p_divmod(g, d1, p, s)[0]
+                stack.append((d1, _p_divmod(yg, d1, p, s)[1]))
+                stack.append((d2, _p_divmod(yg, d2, p, s)[1]))
                 break
     return roots
 
@@ -169,16 +191,20 @@ def poly_roots(p, s, coeffs, seed):
 
     df = _p_derivative(f, p)
     sqf = _p_divmod(f, _p_gcd(f, df, p, s), p, s)[0] if df else f
-    # the part of sqf splitting over F_{p^2}: gcd(sqf, Y^(p^2) - Y)
+    # the part of sqf splitting over F_{p^2}: gcd(sqf, Y^(p^2) - Y), with
+    # Y^(p^2) = conj(yp)(yp) by Horner
     yp = _p_powmod([(0, 0), (1, 0)], p, sqf, p, s)
-    yp2 = _p_powmod(yp, p, sqf, p, s)
+    yp2 = []
+    for a, b in reversed(yp):
+        yp2 = _p_add_const(_p_mulmod(yp2, yp, sqf, p, s) if yp2 else [], (a, -b), p)
     lin = list(yp2) + [(0, 0)] * (2 - len(yp2))
     lin[1] = ((lin[1][0] - 1) % p, lin[1][1])
     split_part = _p_gcd(sqf, _p_strip(lin), p, s)
 
     roots = []
     rem = f
-    for c in sorted(_cz_distinct_roots(split_part, p, s, rng)):
+    split_yp = _p_divmod(yp, split_part, p, s)[1]
+    for c in sorted(_cz_distinct_roots(split_part, split_yp, p, s, rng)):
         factor = [((p - c[0]) % p, (p - c[1]) % p), (1, 0)]
         while len(rem) > 1:
             q, r = _p_divmod(rem, factor, p, s)

@@ -140,14 +140,10 @@ class PrimeContext:
     p: int
     nonresidue: int
 
-    def __init__(self, p: int, nonresidue: int | None = None):
+    def __init__(self, p: int):
         if p in (2, 3) or not is_prime(p):
             raise ValueError(f"{p} is not an admissible prime")
         if p >= MAX_PRIME:
             raise ValueError("prime too large for the fixed-width kernel contract")
-        if nonresidue is None:
-            nonresidue = least_nonresidue(p)
-        elif kronecker(nonresidue, p) != -1 or nonresidue != least_nonresidue(p):
-            raise ValueError("nonresidue must be the least quadratic nonresidue of p")
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "nonresidue", nonresidue)
+        object.__setattr__(self, "nonresidue", least_nonresidue(p))

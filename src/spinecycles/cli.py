@@ -10,7 +10,8 @@ census ... -o FILE         per-prime CSV sweep, optional graph oracle
 validate ...               enforce formula/graph agreement and per-cycle laws
 residues L R -o FILE       residue-class census (modulus + sampled entries)
 
-Exit codes: 0 success, 1 validation failure, 2 usage error.  All output is
+Exit codes: 0 success, 1 validation failure, 2 usage error, 3 internal error
+(an arithmetic invariant failed, which is a bug).  All output is
 deterministic given the arguments and --seed.
 """
 
@@ -26,6 +27,7 @@ from functools import lru_cache
 from . import cycles, predictor, ssgraph
 from .arith import is_prime, primes_in
 from .predictor import BoundViolation
+from .quadforms import InvariantViolation
 
 CSV_COLUMNS = (
     "p",
@@ -404,6 +406,9 @@ def main(argv=None) -> int:
     except (ValueError, BoundViolation, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ssgraph.NonSplitInput, ssgraph.VertexCountMismatch, InvariantViolation) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 def _dispatch(args) -> int:

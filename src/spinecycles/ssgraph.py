@@ -3,12 +3,15 @@
 Adjacency comes from the classical modular polynomial: the out-neighbors of a
 vertex j are the roots of Phi_ell(j, Y) in F_{p^2}, with multiplicity.  The
 graph is grown by breadth-first closure from one supersingular j-invariant in
-F_p (the graph is connected), vertices are the pairs (a, b) standing for
-a + b*w in the basis of ``arith.PrimeContext``, sorted canonically, and the
-spine is flagged as the b == 0 locus.  Off the spine the kernel finds roots
-at one vertex of each Frobenius pair (a, b), (a, -b) and the other row is its
-conjugate.  The vertex-count identity floor((p-1)/12) + eps is enforced as a
-hard postcondition so that any arithmetic defect fails loudly instead of
+F_p (the graph is connected): 1728 or 0 when p = 3 mod 4 or p = 2 mod 3,
+else the CM j-invariant of a class-number-one discriminant inert at p, with
+a scan by trace only when all seven such discriminants split.  Vertices are
+the pairs (a, b) standing for a + b*w in the basis of
+``arith.PrimeContext``, sorted canonically, and the spine is flagged as the
+b == 0 locus.  Off the spine the kernel finds roots at one vertex of each
+Frobenius pair (a, b), (a, -b) and the other row is its conjugate.  The
+vertex-count identity floor((p-1)/12) + eps is enforced as a hard
+postcondition so that any arithmetic defect fails loudly instead of
 corrupting a census.
 
 Built-in coefficient tables cover ell in {2, 3, 5, 7}; the same text format
@@ -24,11 +27,23 @@ from functools import lru_cache
 from importlib import resources
 
 from . import _kernel
-from .arith import PrimeContext
+from .arith import PrimeContext, kronecker
 
 BUILTIN_LEVELS = (2, 3, 5, 7)
 
 _EPS_BY_RESIDUE = {1: 0, 5: 1, 7: 1, 11: 2}
+
+# (D, j(D)) for the class-number-one discriminants other than -3 and -4,
+# whose j-invariants 0 and 1728 are ordinary at p = 1 mod 12
+_CM_J_INVARIANTS = (
+    (-7, -3375),
+    (-8, 8000),
+    (-11, -32768),
+    (-19, -884736),
+    (-43, -884736000),
+    (-67, -147197952000),
+    (-163, -262537412640768000),
+)
 
 
 class VertexCountMismatch(Exception):
@@ -108,14 +123,13 @@ def expected_vertex_count(p: int) -> int:
     return (p - 1) // 12 + _EPS_BY_RESIDUE[p % 12]
 
 
-def is_supersingular(j: int, ctx: PrimeContext) -> bool:
+def is_supersingular(j: int, p: int) -> bool:
     """Supersingularity of the curve with j-invariant j in F_p, by trace.
 
     Uses y^2 = x^3 + 3m x + 2m with m = j/(1728 - j) away from the special
     j-invariants, and the fixed curves y^2 = x^3 + 1, y^2 = x^3 + x at j = 0
     and j = 1728.  Supersingular iff a_p = 0 (p > 13 here, so a_p = 0 exactly).
     """
-    p = ctx.p
     j %= p
     if j == 0:
         a4, a6 = 0, 1
@@ -128,14 +142,24 @@ def is_supersingular(j: int, ctx: PrimeContext) -> bool:
 
 
 def find_supersingular_j(p: int) -> int:
-    """A supersingular j-invariant in F_p (the spine is never empty)."""
+    """A supersingular j-invariant in F_p (the spine is never empty).
+
+    j = 1728 when p = 3 mod 4 and j = 0 when p = 2 mod 3.  For p = 1 mod 12
+    both are ordinary, and the j-invariant of the first class-number-one
+    discriminant D in ``_CM_J_INVARIANTS`` inert at p is returned: a curve
+    with CM by the order of discriminant D is supersingular at every prime
+    inert in Q(sqrt D) (Deuring).  Only when all of them split does the
+    kernel scan j = 1, 2, ... by trace, e.g. at p = 15073.
+    """
     if p <= 13:
         raise ValueError("p must exceed 13")
     if p % 4 == 3:
         return 1728 % p
     if p % 3 == 2:
         return 0
-    # p = 1 mod 12: both special j-invariants are ordinary; scan
+    for d, j in _CM_J_INVARIANTS:
+        if kronecker(d, p) == -1:
+            return j % p
     return _kernel.first_ss_j(p, 1)
 
 

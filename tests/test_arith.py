@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinecycles import _kernel
-from spinecycles._pure import _p_mul
+from spinecycles import _kernel, _pure
+from spinecycles._pure import _f2_mul, _p_mul
 from spinecycles.arith import (
     PrimeContext,
     factorize,
@@ -132,8 +132,6 @@ def test_prime_context_rejects_bad_input():
         PrimeContext(91)  # 7 * 13
     with pytest.raises(ValueError):
         PrimeContext(2)
-    with pytest.raises(ValueError):
-        PrimeContext(4643, nonresidue=3)  # 2 is already a nonresidue
 
 
 # ------------------------------------------------------ roots in F_{p^2} --
@@ -228,4 +226,70 @@ def test_f2_roots_of_phi3_at_1728_supersingular(graph_4643_3):
     for a, b in roots:
         assert (a, b) in vertex_set
         if b == 0:
-            assert ssgraph.is_supersingular(a, ctx)
+            assert ssgraph.is_supersingular(a, ctx.p)
+
+
+def test_pure_root_finder_takes_one_pth_power(monkeypatch):
+    # Y^p is the only p-th power; Y^(p^2) and every (Y+alpha)^(p+1) are
+    # composed from it, so each splitting attempt is one (p-1)/2 powmod
+    exponents = []
+    real = _pure._p_powmod
+
+    def counted(base, e, *args):
+        exponents.append(e)
+        return real(base, e, *args)
+
+    monkeypatch.setattr(_pure, "_p_powmod", counted)
+    ctx = PrimeContext(4643)
+    roots = sorted([(4, 1), (9, 0), (4, 1), (7, 3), (4642, 17), (0, 5)])
+    assert _pure.poly_roots(ctx.p, ctx.nonresidue, _from_roots(roots, ctx), 3) == roots
+    assert exponents.count(ctx.p) == 1
+    assert exponents.count((ctx.p - 1) // 2) == len(exponents) - 1 >= 4
+
+
+def _value(poly, x, p, s):
+    a, b = 0, 0
+    for c, d in reversed(poly):
+        a, b = (a * x[0] + s * b * x[1] + c) % p, (a * x[1] + b * x[0] + d) % p
+    return a, b
+
+
+def _roots_by_evaluation(poly, p, s):
+    """Roots in F_{p^2} with multiplicity, by evaluating at all p^2 elements."""
+    roots = []
+    for x in ((a, b) for a in range(p) for b in range(p)):
+        f = poly
+        while len(f) > 1 and _value(f, x, p, s) == (0, 0):
+            roots.append(x)
+            # synthetic division by Y - x
+            q, carry = [], (0, 0)
+            for c in reversed(f[1:]):
+                carry = ((c[0] + carry[0] * x[0] + s * carry[1] * x[1]) % p,
+                         (c[1] + carry[0] * x[1] + carry[1] * x[0]) % p)
+                q.append(carry)
+            f = q[::-1]
+    return roots
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_f2_roots_match_exhaustive_evaluation(data):
+    p = data.draw(st.sampled_from((101, 103)))
+    ctx = PrimeContext(p)
+    s = ctx.nonresidue
+    element = st.tuples(st.integers(0, p - 1), st.integers(0, p - 1))
+    poly = _from_roots(data.draw(st.lists(element, max_size=6)), ctx)
+    with_quadratic = data.draw(st.booleans())
+    if with_quadratic:
+        # Y^2 + bY + (b^2 - z)/4 has discriminant z, a nonsquare of F_{p^2}
+        b = data.draw(element)
+        t = data.draw(element.filter(lambda t: t != (0, 0)))
+        z = _f2_mul(_f2_mul(_nonsquare_fp2(ctx), t, p, s), t, p, s)
+        bb = _f2_mul(b, b, p, s)
+        c = ((bb[0] - z[0]) * pow(4, -1, p) % p, (bb[1] - z[1]) * pow(4, -1, p) % p)
+        poly = _p_mul(poly, [c, b, (1, 0)], p, s)
+    found = _roots(poly, ctx, seed=data.draw(st.integers(0, 2**32)))
+    if with_quadratic:
+        assert found is None
+    else:
+        assert found == _roots_by_evaluation(poly, p, s)

@@ -272,6 +272,31 @@ def test_residues_rejects_power_of_two(capsys, tmp_path):
 # -------------------------------------------------------------- exit codes --
 
 
+class _DropOneRootAtZero:
+    """A PhiMod whose roots at j = 0, the seed at p = 101, lose one element."""
+
+    real = _kernel.PhiMod
+
+    def __init__(self, *args):
+        self.inner = self.real(*args)
+
+    def roots(self, ja, jb, seed):
+        found = self.inner.roots(ja, jb, seed)
+        return found[1:] if (ja, jb) == (0, 0) else found
+
+
+@pytest.mark.parametrize("broken, message", [
+    ((_kernel, "PhiMod", _DropOneRootAtZero), "does not split into 3 roots"),
+    ((ssgraph, "expected_vertex_count", lambda p: 10), "closure has 9 vertices, expected 10"),
+])
+def test_internal_error_exit_3(capsys, monkeypatch, broken, message):
+    monkeypatch.setattr(*broken)
+    code, out, err = run(capsys, "graph", "101", "2")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error:") and message in err and "p = 101" in err
+
+
 def test_usage_error_exit_2(capsys):
     assert run(capsys, "discs", "4", "3")[0] == 2  # ell not prime
     assert run(capsys, "predict", "3", "3", "4642")[0] == 2  # p composite

@@ -103,22 +103,19 @@ def test_phi_load_unknown_level():
 
 def test_j1728_supersingular_iff_3_mod_4():
     for p in primes_in(17, 400):
-        ctx = PrimeContext(p)
-        assert is_supersingular(1728 % p, ctx) == (p % 4 == 3)
+        assert is_supersingular(1728 % p, p) == (p % 4 == 3)
 
 
 def test_j0_supersingular_iff_2_mod_3():
     for p in primes_in(17, 400):
-        ctx = PrimeContext(p)
-        assert is_supersingular(0, ctx) == (p % 3 == 2)
+        assert is_supersingular(0, p) == (p % 3 == 2)
 
 
 def test_supersingular_count_matches_spine(graph_101_2):
-    ctx = PrimeContext(101)
-    count = sum(1 for j in range(101) if is_supersingular(j, ctx))
+    count = sum(1 for j in range(101) if is_supersingular(j, 101))
     assert count == graph_101_2.spine_size
     spine_js = {a for i, (a, _) in enumerate(graph_101_2.vertices) if graph_101_2.spine[i]}
-    assert spine_js == {j for j in range(101) if is_supersingular(j, ctx)}
+    assert spine_js == {j for j in range(101) if is_supersingular(j, 101)}
 
 
 def test_spine_is_ell_independent():
@@ -131,13 +128,35 @@ def test_spine_is_ell_independent():
 def test_find_supersingular_j_cases():
     assert find_supersingular_j(4643) == 1728  # 4643 = 3 mod 4
     assert find_supersingular_j(101) == 0  # 101 = 2 mod 3
-    j = find_supersingular_j(1009)  # 1009 = 1 mod 12: scan branch
-    ctx = PrimeContext(1009)
-    assert is_supersingular(j, ctx)
+    # 1009 = 1 mod 12: -7 and -8 split at 1009, -11 is the first inert
+    # discriminant, and j(-11) = -32^3
+    j = find_supersingular_j(1009)
+    assert j == -32768 % 1009
+    m = j * pow(1728 - j, -1, 1009) % 1009  # y^2 = x^3 + 3m x + 2m has j-invariant j
+    assert ssgraph._kernel.curve_ap(1009, 3 * m, 2 * m) == 0
+    # 15073 = 1 mod 12 is the least prime where all seven class-number-one
+    # discriminants split: the scan returns the least supersingular j
+    j = find_supersingular_j(15073)
+    assert is_supersingular(j, 15073)
     for smaller in range(1, j):
-        assert not is_supersingular(smaller, ctx)
+        assert not is_supersingular(smaller, 15073)
     with pytest.raises(ValueError):
         find_supersingular_j(13)
+
+
+def test_find_supersingular_j_at_every_prime_1_mod_12():
+    for p in primes_in(14, 6000):
+        if p % 12 == 1:
+            assert is_supersingular(find_supersingular_j(p), p), p
+
+
+def test_find_supersingular_j_needs_no_scan(monkeypatch):
+    # (-7 | 1000033) = -1; a scan by trace would cost about 25 s compiled
+    def refuse(*_args):
+        raise AssertionError("scanned")
+
+    monkeypatch.setattr(ssgraph._kernel, "first_ss_j", refuse)
+    assert find_supersingular_j(1000033) == -3375 % 1000033
 
 
 # -------------------------------------------------------------- graph build --
