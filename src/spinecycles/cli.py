@@ -102,6 +102,8 @@ class CensusConfig:
     def __post_init__(self):
         if not 13 < self.p_min <= self.p_max:
             raise ValueError("need 13 < p_min <= p_max")
+        if self.jobs < 1:
+            raise ValueError(f"need jobs >= 1, got {self.jobs}")
         if self.with_oracle and self.phi_path is None and self.ell not in ssgraph.BUILTIN_LEVELS:
             raise ValueError(
                 f"no built-in modular polynomial for ell={self.ell}; pass --phi FILE"
@@ -258,6 +260,8 @@ def run_validate(ell: int, r: int, primes: list[int], seed: int, phi_path=None) 
     For r a power of two everything is reported but nothing enforced.
     """
     _require_enumerable(r)
+    if not primes:
+        raise ValueError("no primes to validate")
     bound = predictor.kaneko_bound(ell, r)
     gate = bound.M if r % 2 else bound.M_strong
     experimental = predictor.is_even_power_of_two(r)
@@ -314,6 +318,8 @@ def run_validate(ell: int, r: int, primes: list[int], seed: int, phi_path=None) 
 
 def run_residues(ell: int, r: int, sample: int = 24) -> list[str]:
     """Residue-census report: modulus and a deterministic sample of entries."""
+    if sample < 1:
+        raise ValueError(f"need sample >= 1, got {sample}")
     rc = predictor.residue_census(ell, r)
     bound = predictor.kaneko_bound(ell, r)
     lines = [

@@ -126,19 +126,10 @@ def expected_vertex_count(p: int) -> int:
 def is_supersingular(j: int, p: int) -> bool:
     """Supersingularity of the curve with j-invariant j in F_p, by trace.
 
-    Uses y^2 = x^3 + 3m x + 2m with m = j/(1728 - j) away from the special
-    j-invariants, and the fixed curves y^2 = x^3 + 1, y^2 = x^3 + x at j = 0
-    and j = 1728.  Supersingular iff a_p = 0 (p > 13 here, so a_p = 0 exactly).
+    The curve is the kernel's model for j.  Supersingular iff a_p = 0
+    (p > 13 here, so a_p = 0 exactly).
     """
-    j %= p
-    if j == 0:
-        a4, a6 = 0, 1
-    elif j == 1728 % p:
-        a4, a6 = 1, 0
-    else:
-        m = j * pow(1728 - j, -1, p) % p
-        a4, a6 = 3 * m % p, 2 * m % p
-    return _kernel.curve_ap(p, a4, a6) == 0
+    return _kernel.curve_ap(p, *_kernel._curve_for_j(j % p, p)) == 0
 
 
 def find_supersingular_j(p: int) -> int:

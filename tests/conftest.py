@@ -1,6 +1,7 @@
 import pytest
 
-from spinecycles import ssgraph
+from spinecycles import cycles, predictor, ssgraph
+from spinecycles.arith import primes_in
 
 
 @pytest.fixture(scope="session")
@@ -11,3 +12,16 @@ def graph_4643_3():
 @pytest.fixture(scope="session")
 def graph_101_2():
     return ssgraph.build_graph(101, 2)
+
+
+@pytest.fixture(scope="session")
+def sweep_3_3():
+    """Per-prime graph/formula results for every prime in (2782, 6000]."""
+    rows = []
+    for p in primes_in(2783, 6000):
+        graph = ssgraph.build_graph(p, 3)
+        found = cycles.enumerate_cycles(graph, 3)
+        cen = cycles.census_of(graph, 3, found)
+        sp = predictor.predict(3, 3, p)
+        rows.append((p, cen, sp, {c.spine_count for c in found if not c.tainted}))
+    return rows

@@ -1,14 +1,13 @@
 """Acceptance suite: one test per criterion, one printed verdict line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines; the full suite takes on the order of a minute with the compiled
-kernel.  Tolerances are pinned here and nowhere else.
+lines; the full suite takes about three minutes on a 2-core machine, most
+of it building the graphs of criteria 06 and 09.  Tolerances are pinned
+here and nowhere else.
 """
 
 import time
 from fractions import Fraction
-
-import pytest
 
 from spinecycles import cli, cycles, predictor, ssgraph
 from spinecycles.arith import kronecker, primes_in
@@ -30,19 +29,6 @@ def _cli_lines(*argv):
     with contextlib.redirect_stdout(buf):
         code = cli.main(list(argv))
     return code, buf.getvalue()
-
-
-@pytest.fixture(scope="module")
-def sweep_3_3():
-    """Per-prime graph/formula results for every prime in (2782, 6000]."""
-    rows = []
-    for p in primes_in(2783, 6000):
-        graph = ssgraph.build_graph(p, 3)
-        found = cycles.enumerate_cycles(graph, 3)
-        cen = cycles.census(graph, 3)
-        sp = predictor.predict(3, 3, p)
-        rows.append((p, cen, sp, {c.spine_count for c in found if not c.tainted}))
-    return rows
 
 
 def test_criterion_01_discriminant_enumeration():

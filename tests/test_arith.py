@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinecycles import _kernel, _pure
-from spinecycles._pure import _f2_mul, _p_mul
+from spinecycles import _kernel
+from spinecycles._kernel import _f2_mul, _p_mul
 from spinecycles.arith import (
     PrimeContext,
     factorize,
@@ -233,16 +233,16 @@ def test_pure_root_finder_takes_one_pth_power(monkeypatch):
     # Y^p is the only p-th power; Y^(p^2) and every (Y+alpha)^(p+1) are
     # composed from it, so each splitting attempt is one (p-1)/2 powmod
     exponents = []
-    real = _pure._p_powmod
+    real = _kernel._p_powmod
 
     def counted(base, e, *args):
         exponents.append(e)
         return real(base, e, *args)
 
-    monkeypatch.setattr(_pure, "_p_powmod", counted)
+    monkeypatch.setattr(_kernel, "_p_powmod", counted)
     ctx = PrimeContext(4643)
     roots = sorted([(4, 1), (9, 0), (4, 1), (7, 3), (4642, 17), (0, 5)])
-    assert _pure.poly_roots(ctx.p, ctx.nonresidue, _from_roots(roots, ctx), 3) == roots
+    assert _kernel.poly_roots(ctx.p, ctx.nonresidue, _from_roots(roots, ctx), 3) == roots
     assert exponents.count(ctx.p) == 1
     assert exponents.count((ctx.p - 1) // 2) == len(exponents) - 1 >= 4
 

@@ -305,3 +305,19 @@ def test_usage_error_exit_2(capsys):
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         cli.main(["nonsense"])
+
+
+@pytest.mark.parametrize("argv", [
+    ("census", "--ell", "3", "--r", "3", "--pmin", "2783", "--pmax", "2800", "--jobs", "0", "-o"),
+    ("census", "--ell", "3", "--r", "3", "--pmin", "2783", "--pmax", "2800", "--jobs", "-1", "-o"),
+    ("validate", "--ell", "3", "--r", "3", "--primes", ","),
+    ("residues", "3", "3", "--sample", "-5", "-o"),
+])
+def test_meaningless_count_is_usage_error(capsys, tmp_path, argv):
+    out_file = tmp_path / "out.txt"
+    if argv[-1] == "-o":
+        argv += (str(out_file),)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+    assert not out_file.exists()

@@ -222,12 +222,11 @@ def test_even_case_halved_formula_matches_graph():
             assert (cen.n_s_graph, cen.n_t_graph) == (sp.n_s, sp.n_t), p
 
 
-def test_formula_graph_equivalence_sample():
+def test_formula_graph_equivalence_sample(sweep_3_3):
     # spot sample of the (3,3) theorem-backed equivalence (full range in acceptance)
-    for p in primes_in(2783, 3200):
-        g = ssgraph.build_graph(p, 3)
-        cen = census(g, 3)
-        sp = predictor.predict(3, 3, p)
+    sample = [row for row in sweep_3_3 if row[0] <= 3200]
+    assert [p for p, *_ in sample] == primes_in(2783, 3200)
+    for p, cen, sp, _ in sample:
         if not cen.tainted_present:
             assert (cen.n_s_graph, cen.n_t_graph) == (sp.n_s, sp.n_t), p
         assert set(cen.spine_count_histogram) <= {0, 1}

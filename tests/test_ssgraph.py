@@ -151,12 +151,36 @@ def test_find_supersingular_j_at_every_prime_1_mod_12():
 
 
 def test_find_supersingular_j_needs_no_scan(monkeypatch):
-    # (-7 | 1000033) = -1; a scan by trace would cost about 25 s compiled
+    # (-7 | 1000033) = -1; a scan by trace would cost an O(p) sum per candidate
     def refuse(*_args):
         raise AssertionError("scanned")
 
     monkeypatch.setattr(ssgraph._kernel, "first_ss_j", refuse)
     assert find_supersingular_j(1000033) == -3375 % 1000033
+
+
+def test_curve_for_j_has_j_invariant_j():
+    # j(y^2 = x^3 + a4 x + a6) = 1728 * 4 a4^3 / (4 a4^3 + 27 a6^2)
+    for p in (17, 101, 1009):
+        for j in range(p):
+            a4, a6 = ssgraph._kernel._curve_for_j(j, p)
+            disc = (4 * a4**3 + 27 * a6**2) % p
+            assert disc and 1728 * 4 * a4**3 * pow(disc, -1, p) % p == j, (p, j)
+
+
+def test_curve_ap_hasse_bound():
+    for p in (101, 1009):
+        for a4, a6 in ((1, 0), (0, 1), (3, 5)):
+            ap = ssgraph._kernel.curve_ap(p, a4, a6)
+            assert ap * ap <= 4 * p
+    # exhaustive oracle: a_p = p + 1 - #E(F_p), the affine points plus infinity
+    for p in (17, 101):
+        for a4, a6 in ((1, 0), (0, 1), (3, 5), (2, 7), (p - 1, 3)):
+            assert (4 * a4**3 + 27 * a6**2) % p
+            affine = sum(
+                1 for x in range(p) for y in range(p) if (y * y - x**3 - a4 * x - a6) % p == 0
+            )
+            assert ssgraph._kernel.curve_ap(p, a4, a6) == p + 1 - (affine + 1), (p, a4, a6)
 
 
 # -------------------------------------------------------------- graph build --
