@@ -7,7 +7,8 @@ substitute them:
     PhiMod(p, s, ell, rows)          modular-polynomial specializer + roots
     curve_ap(p, a4, a6)              trace of Frobenius via a character sum
     first_ss_j(p, start)             scan for a supersingular j in F_p
-    closed_walks(r, ...)             non-backtracking closed walks of length r
+    closed_walks(r, ...)             primitive non-backtracking closed walks of
+                                     length r, one least rotation per cycle
 
 F_{p^2} is F_p[w] with w^2 = s for a quadratic nonresidue s; elements are
 (a, b) pairs meaning a + b*w.  Polynomials are lists of such pairs, index =
@@ -290,34 +291,42 @@ def first_ss_j(p, start):
 
 
 def closed_walks(r, edge_to, edge_dual, vert_start):
-    """Closed non-backtracking walks of length r, as tuples of edge indices.
+    """The primitive non-backtracking closed walks of length r, each once.
 
     Edges are assumed grouped by source vertex: the out-edges of vertex v are
     the indices [vert_start[v], vert_start[v+1]).  A walk is rejected when an
-    edge is followed by its dual, including across the wrap-around.  Every
-    rotation of every walk is returned; callers canonicalize and deduplicate.
+    edge is followed by its dual, including across the wrap-around.  Each
+    cyclic class appears once, as its Lyndon word: the rotation strictly less
+    than all the others, which exists exactly when the walk is not a proper
+    power and begins with the walk's least edge (Chen-Fox-Lyndon; Duval
+    1983).  So the search from start edge e0 extends only with edges >= e0,
+    and the walks come out sorted.
     """
     if r < 2:
         raise ValueError("walk length must be at least 2")
     n = len(vert_start) - 1
     out = []
     for v in range(n):
-        path = []
-        stack = [iter(range(vert_start[v], vert_start[v + 1]))]
-        while stack:
-            e = next(stack[-1], None)
-            if e is None:
-                stack.pop()
-                if path:
+        for e0 in range(vert_start[v], vert_start[v + 1]):
+            path = [e0]
+            w = edge_to[e0]
+            stack = [iter(range(max(vert_start[w], e0), vert_start[w + 1]))]
+            while stack:
+                e = next(stack[-1], None)
+                if e is None:
+                    stack.pop()
                     path.pop()
-                continue
-            if path and e == edge_dual[path[-1]]:
-                continue
-            if len(path) + 1 == r:
-                if edge_to[e] == v and edge_dual[e] != path[0]:
-                    out.append((*path, e))
-            else:
-                path.append(e)
-                w = edge_to[e]
-                stack.append(iter(range(vert_start[w], vert_start[w + 1])))
+                    continue
+                if e == edge_dual[path[-1]]:
+                    continue
+                if len(path) + 1 == r:
+                    if edge_to[e] == v and edge_dual[e] != e0:
+                        walk = (*path, e)
+                        # only a rotation starting at another copy of e0 can tie or undercut
+                        if all(walk < walk[i:] + walk[:i] for i in range(1, r) if walk[i] == e0):
+                            out.append(walk)
+                else:
+                    path.append(e)
+                    w = edge_to[e]
+                    stack.append(iter(range(max(vert_start[w], e0), vert_start[w + 1])))
     return out

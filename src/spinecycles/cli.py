@@ -73,11 +73,12 @@ def _require_enumerable(r: int) -> None:
 
 
 def _warn_if_deep(ell: int, r: int) -> None:
-    # DFS work is ~(ell+1)*ell^(r-1) walks per start vertex
+    # the DFS extends a walk only by edges no smaller than its first, so it
+    # explores ~(ell+1)*ell^(r-1)/r walks per start vertex
     if ell >= 5 and r > 8:
         print(
             f"warning: enumerating {r}-cycles at ell={ell} explores"
-            f" ~{(ell + 1) * ell ** (r - 1):.0e} walks per vertex; expect a long run",
+            f" ~{(ell + 1) * ell ** (r - 1) / r:.0e} walks per vertex; expect a long run",
             file=sys.stderr,
         )
 
@@ -92,12 +93,14 @@ class CensusConfig:
     p_min: int
     p_max: int
     with_oracle: bool
-    skip_tainted: bool
     seed: int
     output: str
     average_start: int
     phi_path: str | None = None
     jobs: int = 1
+    # unread: tainted rows never count as mismatches; kept only because the
+    # benchmark harness (perfbench/) still passes it by keyword
+    skip_tainted: bool = False
 
     def __post_init__(self):
         if not 13 < self.p_min <= self.p_max:
@@ -201,8 +204,7 @@ def _census_summary(cfg: CensusConfig, rows: list[CensusRow]) -> list[str]:
     lines.append(f"final_running_avg={_fmt_q(avg)} limit={_fmt_q(limit)}")
     if cfg.with_oracle:
         checked = [r for r in rows if r.n_s_graph is not None and not r.error]
-        relevant = [r for r in checked if not (cfg.skip_tainted and r.tainted)]
-        bad = [r for r in relevant if not r.agreement and not r.tainted]
+        bad = [r for r in checked if not r.agreement and not r.tainted]
         lines.append(f"oracle_rows={len(checked)} mismatched_untainted={len(bad)}")
         for r in bad[:20]:
             lines.append(
@@ -382,7 +384,6 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--pmin", type=int, required=True)
     c.add_argument("--pmax", type=int, required=True)
     c.add_argument("--oracle", action="store_true", help="also build graphs and compare")
-    c.add_argument("--skip-tainted", action="store_true")
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--avg-start", type=int, default=None, help="prime starting the running average")
     c.add_argument("--phi", metavar="FILE")
@@ -464,7 +465,6 @@ def _dispatch(args) -> int:
             p_min=args.pmin,
             p_max=args.pmax,
             with_oracle=args.oracle,
-            skip_tainted=args.skip_tainted,
             seed=args.seed,
             output=args.output,
             average_start=args.avg_start if args.avg_start is not None else args.pmin,

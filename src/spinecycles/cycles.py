@@ -1,8 +1,9 @@
 """Directed cycle enumeration in a built isogeny graph.
 
-A cycle of length r is a cyclically non-backtracking closed walk of r edges,
-with the basepoint forgotten (canonical form: lexicographically minimal
-rotation of the edge sequence) and proper powers of shorter walks dropped.
+A cycle of length r is a cyclically non-backtracking closed walk of r edges
+that is not a proper power of a shorter walk, with the basepoint forgotten.
+The kernel's search emits each cycle once, in canonical form: the
+lexicographically least rotation of its edge-index sequence.
 Direction is kept: a cycle and its opposite (reverse traversal through dual
 edges) are distinct.
 
@@ -85,30 +86,11 @@ class _EdgeTable:
                 raise ValueError("adjacency is not symmetric: missing reverse edge")
             c = e.copy if e.copy < back else e.copy % back
             dual.append(index[(e.dst, e.src, c)])
-        self.graph = graph
         self.edges = edges
         self.index = index
         self.dual = dual
         self.edge_to = [e.dst for e in edges]
         self.vert_start = vert_start
-
-
-def _min_rotation(seq):
-    n = len(seq)
-    best = seq
-    for i in range(1, n):
-        rot = seq[i:] + seq[:i]
-        if rot < best:
-            best = rot
-    return best
-
-
-def _is_periodic(seq) -> bool:
-    n = len(seq)
-    for d in range(1, n):
-        if n % d == 0 and all(seq[i] == seq[(i + d) % n] for i in range(n)):
-            return True
-    return False
 
 
 def enumerate_cycles(graph: IsogenyGraph, r: int) -> list[DirectedCycle]:
@@ -118,14 +100,10 @@ def enumerate_cycles(graph: IsogenyGraph, r: int) -> list[DirectedCycle]:
     if r < 3:
         raise ValueError("cycle length must be at least 3")
     table = _EdgeTable(graph)
-    raw = _kernel.closed_walks(r, table.edge_to, table.dual, table.vert_start)
-    canonical = {_min_rotation(w) for w in raw}
     special = {i for i, v in enumerate(graph.vertices)
                if v in ((0, 0), (1728 % graph.p, 0))}
     out = []
-    for walk in sorted(canonical):
-        if _is_periodic(walk):
-            continue
+    for walk in _kernel.closed_walks(r, table.edge_to, table.dual, table.vert_start):
         edges = tuple(table.edges[i] for i in walk)
         verts = [e.src for e in edges]
         out.append(

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Literal
 
 from . import quadforms
 from .arith import is_prime, kronecker, moebius, factorize
@@ -49,7 +48,6 @@ class DiscriminantSet:
 
     ell: int
     r: int
-    mode: Literal["dividing", "exact"]
     discs: tuple[Discriminant, ...]
 
     def values(self) -> tuple[int, ...]:
@@ -86,7 +84,7 @@ def disc_set_dividing(ell: int, r: int) -> DiscriminantSet:
         if kronecker(d, ell) != 1 or disc.conductor % ell == 0:
             raise InvariantViolation(f"{ell} is not split and ell-fundamental in {d}")
         discs.append(disc)
-    return DiscriminantSet(ell, r, "dividing", tuple(discs))
+    return DiscriminantSet(ell, r, tuple(discs))
 
 
 def _square_divisor_roots(n: int) -> list[int]:
@@ -109,7 +107,7 @@ def disc_set_exact(ell: int, r: int) -> DiscriminantSet:
         for d in disc_set_dividing(ell, r)
         if quadforms.form_order(quadforms.prime_form(d, ell), d) == r
     )
-    return DiscriminantSet(ell, r, "exact", keep)
+    return DiscriminantSet(ell, r, keep)
 
 
 def disc_set_exact_by_difference(ell: int, r: int) -> DiscriminantSet:
@@ -118,7 +116,7 @@ def disc_set_exact_by_difference(ell: int, r: int) -> DiscriminantSet:
     for d in _divisors(r)[:-1]:
         drop.update(disc_set_dividing(ell, d).values())
     keep = tuple(d for d in disc_set_dividing(ell, r) if d.d not in drop)
-    return DiscriminantSet(ell, r, "exact", keep)
+    return DiscriminantSet(ell, r, keep)
 
 
 @dataclass(frozen=True)

@@ -236,7 +236,7 @@ def test_criterion_12_even_case_experiment(tmp_path):
     out_csv = tmp_path / "even26.csv"
     code, out = _cli_lines(
         "census", "--ell", "2", "--r", "6", "--pmin", "3779", "--pmax", "3900",
-        "--oracle", "--skip-tainted", "-o", str(out_csv),
+        "--oracle", "-o", str(out_csv),
     )
     reported = [ln for ln in out.splitlines() if "mismatched_untainted=" in ln]
     rows = out_csv.read_text().splitlines()[1:]

@@ -72,7 +72,7 @@ def test_census_csv_structure_and_agreement(capsys, tmp_path):
     code, out, _ = run(
         capsys,
         "census", "--ell", "3", "--r", "3", "--pmin", "2789", "--pmax", "2900",
-        "--oracle", "--skip-tainted", "-o", str(out_csv),
+        "--oracle", "-o", str(out_csv),
     )
     assert code == 0
     assert "mismatched_untainted=0" in out
@@ -133,12 +133,17 @@ def test_census_running_average_and_avg_start(capsys, tmp_path):
 
 
 def test_census_jobs_matches_sequential(capsys, tmp_path):
+    # small graphs, but more than 32 primes, so that --jobs 2 with chunks of 16
+    # hands both workers work; the range has rows below the bound and tainted rows
     a, b = tmp_path / "seq.csv", tmp_path / "par.csv"
-    run(capsys, "census", "--ell", "3", "--r", "3", "--pmin", "2789", "--pmax", "2920",
-        "--oracle", "-o", str(a))
-    run(capsys, "census", "--ell", "3", "--r", "3", "--pmin", "2789", "--pmax", "2920",
-        "--oracle", "--jobs", "2", "-o", str(b))
+    argv = ["census", "--ell", "2", "--r", "3", "--pmin", "17", "--pmax", "600", "--oracle"]
+    run(capsys, *argv, "-o", str(a))
+    run(capsys, *argv, "--jobs", "2", "-o", str(b))
     assert a.read_bytes() == b.read_bytes()
+    rows = [dict(zip(cli.CSV_COLUMNS, ln.split(","))) for ln in a.read_text().splitlines()[1:]]
+    assert len(rows) > 32
+    assert any(row["ns_formula"] == "" for row in rows)
+    assert any(row["tainted"] == "true" for row in rows)
 
 
 def test_census_single_worked_prime_row(capsys, tmp_path):

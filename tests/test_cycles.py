@@ -1,6 +1,8 @@
+import itertools
+
 import pytest
 
-from spinecycles import cycles, predictor, ssgraph
+from spinecycles import _kernel, cycles, predictor, ssgraph
 from spinecycles.arith import primes_in
 from spinecycles.cycles import (
     DepthExceeded,
@@ -18,7 +20,8 @@ def dual(e: EdgeRef, table: cycles._EdgeTable) -> EdgeRef:
 
 def opposite(edges: tuple[EdgeRef, ...], table: cycles._EdgeTable) -> tuple[EdgeRef, ...]:
     """The reverse traversal through dual edges, in minimal-rotation form."""
-    return cycles._min_rotation(tuple(dual(e, table) for e in reversed(edges)))
+    seq = tuple(dual(e, table) for e in reversed(edges))
+    return min(seq[i:] + seq[:i] for i in range(len(seq)))
 
 
 def _table1_vertex_sets(p=4643):
@@ -179,6 +182,28 @@ def test_depth_limits(graph_101_2):
         enumerate_cycles(graph_101_2, 11)
     with pytest.raises(ValueError):
         enumerate_cycles(graph_101_2, 2)
+
+
+@pytest.mark.parametrize("p", [23, 47])
+def test_closed_walks_match_brute_force(p):
+    # ell = 2 at p = 23, 47: loops, parallel edges, and both j = 0 and j = 1728
+    g = ssgraph.build_graph(p, 2)
+    assert {(0, 0), (1728 % p, 0)} <= set(g.vertices)
+    assert any(u == v for u, row in enumerate(g.out_edges) for v, _ in row)
+    assert any(m > 1 for row in g.out_edges for _, m in row)
+    table = cycles._EdgeTable(g)
+    src = [e.src for e in table.edges]
+    for r in range(2, 6):
+        want = set()
+        for walk in itertools.product(range(len(table.edges)), repeat=r):
+            steps = [(walk[i], walk[(i + 1) % r]) for i in range(r)]
+            if any(table.edge_to[e] != src[f] or f == table.dual[e] for e, f in steps):
+                continue
+            rotations = {walk[i:] + walk[:i] for i in range(r)}
+            if len(rotations) == r:
+                want.add(min(rotations))
+        got = _kernel.closed_walks(r, table.edge_to, table.dual, table.vert_start)
+        assert got == sorted(want), (p, r)
 
 
 # ------------------------------------------------------------------- census --

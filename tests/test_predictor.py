@@ -277,7 +277,7 @@ def test_average_limit_invariant_fires_under_optimize():
     script = (
         "from spinecycles import predictor as pr\n"
         "assert False, 'asserts are on'\n"
-        "pr.disc_set_exact = lambda ell, r: pr.DiscriminantSet(ell, r, 'exact', ())\n"
+        "pr.disc_set_exact = lambda ell, r: pr.DiscriminantSet(ell, r, ())\n"
         "pr.average_limit(3, 3)\n"
     )
     done = subprocess.run(
