@@ -10,6 +10,9 @@ census ... -o FILE         per-prime CSV sweep, optional graph oracle
 validate ...               enforce formula/graph agreement and per-cycle laws
 residues L R -o FILE       residue-class census (modulus + sampled entries)
 
+`census --oracle` and `validate` count cycles through `cycles.census` and
+need r >= 3, checked before any graph is built; there is no upper cap on r.
+
 Exit codes: 0 success, 1 validation failure, 2 usage error, 3 internal error
 (an arithmetic invariant failed, which is a bug).  All output is
 deterministic given the arguments and --seed.
@@ -67,22 +70,6 @@ def _load_phi(path):
     return _load_phi_cached(path) if path else None
 
 
-def _require_enumerable(r: int) -> None:
-    if r > cycles.MAX_CYCLE_LENGTH:
-        raise ValueError(f"cycle enumeration supports r <= {cycles.MAX_CYCLE_LENGTH}, got r = {r}")
-
-
-def _warn_if_deep(ell: int, r: int) -> None:
-    # the DFS extends a walk only by edges no smaller than its first, so it
-    # explores ~(ell+1)*ell^(r-1)/r walks per start vertex
-    if ell >= 5 and r > 8:
-        print(
-            f"warning: enumerating {r}-cycles at ell={ell} explores"
-            f" ~{(ell + 1) * ell ** (r - 1) / r:.0e} walks per vertex; expect a long run",
-            file=sys.stderr,
-        )
-
-
 # ---------------------------------------------------------------- census ----
 
 
@@ -111,8 +98,8 @@ class CensusConfig:
             raise ValueError(
                 f"no built-in modular polynomial for ell={self.ell}; pass --phi FILE"
             )
-        if self.with_oracle:
-            _require_enumerable(self.r)
+        if self.with_oracle and self.r < 3:
+            raise ValueError(f"cycle length must be at least 3, got r = {self.r}")
 
 
 @dataclass
@@ -261,7 +248,8 @@ def run_validate(ell: int, r: int, primes: list[int], seed: int, phi_path=None) 
       * n_t even; n_s even for odd r
     For r a power of two everything is reported but nothing enforced.
     """
-    _require_enumerable(r)
+    if r < 3:
+        raise ValueError(f"cycle length must be at least 3, got r = {r}")
     if not primes:
         raise ValueError("no primes to validate")
     bound = predictor.kaneko_bound(ell, r)
@@ -277,39 +265,35 @@ def run_validate(ell: int, r: int, primes: list[int], seed: int, phi_path=None) 
             raise ValueError(f"p = {p} does not exceed the applicable bound {float(gate)}")
     for p in primes:
         graph = ssgraph.build_graph(p, ell, seed=seed, phi=_load_phi(phi_path))
-        found = cycles.enumerate_cycles(graph, r)
-        cen = cycles.census_of(graph, r, found)
+        cen = cycles.census(graph, r)
         sp = predictor.predict(ell, r, p)
-        untainted = [c for c in found if not c.tainted]
-        support = {c.spine_count for c in untainted}
-        problems = []
-        equality_enforced = p > bound.operative
-        agree = (cen.n_s_graph, cen.n_t_graph) == (sp.n_s, sp.n_t)
-        if not agree and not cen.tainted_present:
-            problems.append(
+        problems = []  # (message, enforced); nothing is enforced for r a power of two
+        if (cen.n_s_graph, cen.n_t_graph) != (sp.n_s, sp.n_t) and not cen.tainted_present:
+            below = p <= bound.operative
+            problems.append((
                 f"formula=({sp.n_s},{sp.n_t}) != graph=({cen.n_s_graph},{cen.n_t_graph})"
-                + ("" if equality_enforced else " [below operative bound: reported only]")
-            )
-        if not support <= allowed_support:
-            problems.append(f"histogram support {sorted(support)} not within {sorted(allowed_support)}")
+                + (" [below operative bound: reported only]" if below else ""),
+                not (experimental or below),
+            ))
+        if not cen.untainted_support <= allowed_support:
+            problems.append((
+                f"histogram support {sorted(cen.untainted_support)} not within {sorted(allowed_support)}",
+                not experimental,
+            ))
         if cen.n_t_graph % 2:
-            problems.append(f"n_t_graph={cen.n_t_graph} odd")
+            problems.append((f"n_t_graph={cen.n_t_graph} odd", not experimental))
         if r % 2 and cen.n_s_graph % 2:
-            problems.append(f"n_s_graph={cen.n_s_graph} odd")
+            problems.append((f"n_s_graph={cen.n_s_graph} odd", not experimental))
+        failed = any(enforced for _, enforced in problems)
+        ok = ok and not failed
+        status = "FAIL" if failed else ("reported" if problems else "ok")
         hist = dict(sorted(cen.spine_count_histogram.items()))
-        status = "ok" if not problems else ("reported" if experimental else "FAIL")
-        if problems and not experimental:
-            hard = [q for q in problems if "reported only" not in q]
-            if hard:
-                ok = False
-            else:
-                status = "reported"
         lines.append(
             f"p={p} formula=({sp.n_s},{sp.n_t}) graph=({cen.n_s_graph},{cen.n_t_graph})"
             f" hist={hist} tainted={str(cen.tainted_present).lower()} {status}"
         )
-        for q in problems:
-            lines.append(f"  {'NOTE' if experimental or 'reported only' in q else 'VIOLATION'}: {q}")
+        for q, enforced in problems:
+            lines.append(f"  {'VIOLATION' if enforced else 'NOTE'}: {q}")
     if experimental:
         lines.append("note: r is a power of two; checks reported, not enforced")
     return ok, lines
@@ -471,8 +455,6 @@ def _dispatch(args) -> int:
             phi_path=args.phi,
             jobs=args.jobs,
         )
-        if cfg.with_oracle:
-            _warn_if_deep(cfg.ell, cfg.r)
         rows, summary = run_census(cfg)
         write_census_csv(rows, cfg.output)
         for line in summary:
@@ -482,7 +464,6 @@ def _dispatch(args) -> int:
 
     if args.command == "validate":
         primes = [int(tok) for tok in args.primes.split(",") if tok]
-        _warn_if_deep(args.ell, args.r)
         ok, lines = run_validate(args.ell, args.r, primes, args.seed, args.phi)
         for line in lines:
             print(line)

@@ -1,11 +1,12 @@
-"""Directed cycle enumeration in a built isogeny graph.
+"""Directed cycles of a built isogeny graph: `census` counts, `enumerate_cycles` lists.
 
 A cycle of length r is a cyclically non-backtracking closed walk of r edges
 that is not a proper power of a shorter walk, with the basepoint forgotten.
 The kernel's search emits each cycle once, in canonical form: the
 lexicographically least rotation of its edge-index sequence.
 Direction is kept: a cycle and its opposite (reverse traversal through dual
-edges) are distinct.
+edges) are distinct.  Any r >= 3 is accepted; the search explores about
+(ell+1)*ell^(r-1)/r walks per vertex, so its cost grows like ell^r.
 
 Backtracking is decided by a fixed pairing of parallel edge copies: the dual
 of (u, v, copy) is (v, u, copy), falling back to copy mod multiplicity where
@@ -22,12 +23,6 @@ from typing import Mapping
 
 from . import _kernel
 from .ssgraph import IsogenyGraph
-
-MAX_CYCLE_LENGTH = 10
-
-
-class DepthExceeded(Exception):
-    """Requested walk length above the supported enumeration depth."""
 
 
 @dataclass(frozen=True, order=True)
@@ -65,6 +60,7 @@ class CycleCensus:
     n_s_graph: int
     spine_count_histogram: Mapping[int, int]
     tainted_present: bool
+    untainted_support: frozenset[int]  # spine counts of the untainted cycles
 
 
 class _EdgeTable:
@@ -95,8 +91,6 @@ class _EdgeTable:
 
 def enumerate_cycles(graph: IsogenyGraph, r: int) -> list[DirectedCycle]:
     """All directed isogeny cycles of length r, canonically sorted."""
-    if r > MAX_CYCLE_LENGTH:
-        raise DepthExceeded(f"cycle length {r} above the supported bound {MAX_CYCLE_LENGTH}")
     if r < 3:
         raise ValueError("cycle length must be at least 3")
     table = _EdgeTable(graph)
@@ -117,12 +111,8 @@ def enumerate_cycles(graph: IsogenyGraph, r: int) -> list[DirectedCycle]:
 
 
 def census(graph: IsogenyGraph, r: int) -> CycleCensus:
-    """Counts and the per-cycle spine-vertex histogram for length-r cycles."""
-    return census_of(graph, r, enumerate_cycles(graph, r))
-
-
-def census_of(graph: IsogenyGraph, r: int, found: list[DirectedCycle]) -> CycleCensus:
-    """The census of `found`, the already enumerated length-r cycles of graph."""
+    """Counts, the per-cycle spine-vertex histogram and its untainted support."""
+    found = enumerate_cycles(graph, r)
     histogram: dict[int, int] = {}
     for c in found:
         histogram[c.spine_count] = histogram.get(c.spine_count, 0) + 1
@@ -134,4 +124,5 @@ def census_of(graph: IsogenyGraph, r: int, found: list[DirectedCycle]) -> CycleC
         n_s_graph=sum(1 for c in found if c.spine_count >= 1),
         spine_count_histogram=histogram,
         tainted_present=any(c.tainted for c in found),
+        untainted_support=frozenset(c.spine_count for c in found if not c.tainted),
     )

@@ -165,7 +165,7 @@ def _solve_linear(a: int, b: int, m: int) -> tuple[int, int]:
     """Some x with a x = b (mod m), plus the solution period m/gcd."""
     g, inv, _ = _xgcd(a, m)
     if b % g:
-        raise ArithmeticError("no solution to linear congruence")
+        raise InvariantViolation(f"no solution to {a} x = {b} (mod {m}) in a composition")
     period = m // g
     return (inv * (b // g)) % period, period
 
@@ -205,7 +205,7 @@ def form_order(f: BinaryQuadraticForm, D) -> int:
         acc = compose(acc, f, D)
         k += 1
         if k > cap:
-            raise ArithmeticError("runaway order computation (composition bug?)")
+            raise InvariantViolation(f"order of {f} in discriminant {_disc_value(D)} exceeds {cap}")
     return k
 
 
@@ -249,4 +249,4 @@ def prime_form(D, ell: int) -> BinaryQuadraticForm:
     for b in range(2 * ell):
         if (b - d) % 2 == 0 and (b * b - d) % (4 * ell) == 0:
             return reduce_form(BinaryQuadraticForm(ell, b, (b * b - d) // (4 * ell)))
-    raise AssertionError("split prime admits a square root of D mod 4*ell")
+    raise InvariantViolation(f"split prime {ell} admits no square root of {d} mod {4 * ell}")

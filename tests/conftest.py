@@ -20,8 +20,6 @@ def sweep_3_3():
     rows = []
     for p in primes_in(2783, 6000):
         graph = ssgraph.build_graph(p, 3)
-        found = cycles.enumerate_cycles(graph, 3)
-        cen = cycles.census_of(graph, 3, found)
-        sp = predictor.predict(3, 3, p)
-        rows.append((p, cen, sp, {c.spine_count for c in found if not c.tainted}))
+        cen = cycles.census(graph, 3)
+        rows.append((p, cen, predictor.predict(3, 3, p), cen.untainted_support))
     return rows

@@ -1,6 +1,6 @@
 import pytest
 
-from spinecycles import _kernel, cli, cycles, ssgraph
+from spinecycles import _kernel, cli, cycles, predictor, quadforms, ssgraph
 
 
 def run(capsys, *argv):
@@ -240,19 +240,35 @@ def test_validate_checks_every_prime_before_building(capsys, monkeypatch, primes
 
 
 @pytest.mark.parametrize("argv", [
-    ("census", "--ell", "2", "--r", "12", "--pmin", "101", "--pmax", "103", "--oracle", "-o"),
-    ("validate", "--ell", "2", "--r", "12", "--primes", "101"),
+    ("census", "--ell", "2", "--r", "2", "--pmin", "101", "--pmax", "113", "--oracle", "-o"),
+    ("validate", "--ell", "2", "--r", "2", "--primes", "101,103"),
 ])
-def test_cycle_length_above_enumeration_bound_is_usage_error(capsys, monkeypatch, tmp_path, argv):
+def test_cycle_length_below_three_is_usage_error(capsys, monkeypatch, tmp_path, argv):
     def refuse(*_args, **_kwargs):
         raise AssertionError("graph built")
 
     monkeypatch.setattr(ssgraph, "build_graph", refuse)
     if argv[-1] == "-o":
-        argv += (str(tmp_path / "deep.csv"),)
+        argv += (str(tmp_path / "short.csv"),)
     code, _, err = run(capsys, *argv)
     assert code == 2
-    assert err.startswith("error:") and f"r <= {cycles.MAX_CYCLE_LENGTH}" in err
+    assert err.startswith("error:") and "at least 3" in err
+
+
+def test_census_oracle_counts_cycles_above_length_ten(capsys, tmp_path):
+    out_csv = tmp_path / "r12.csv"
+    code, _, err = run(
+        capsys,
+        "census", "--ell", "2", "--r", "12", "--pmin", "101", "--pmax", "103",
+        "--oracle", "-o", str(out_csv),
+    )
+    assert code == 0 and err == ""
+    rows = [dict(zip(cli.CSV_COLUMNS, ln.split(","))) for ln in out_csv.read_text().splitlines()[1:]]
+    assert [row["p"] for row in rows] == ["101", "103"]
+    for row in rows:
+        cen = cycles.census(ssgraph.build_graph(int(row["p"]), 2), 12)
+        assert (row["ns_graph"], row["nt_graph"]) == (str(cen.n_s_graph), str(cen.n_t_graph))
+        assert cen.n_t_graph > 0
 
 
 # ---------------------------------------------------------------- residues --
@@ -300,6 +316,17 @@ def test_internal_error_exit_3(capsys, monkeypatch, broken, message):
     assert code == 3
     assert out == ""
     assert err.startswith("internal error:") and message in err and "p = 101" in err
+
+
+def test_composition_failure_is_internal_error(capsys, monkeypatch):
+    # a composition that returns its first argument never reaches the identity
+    monkeypatch.setattr(quadforms, "compose", lambda f, g, D: f)
+    predictor.disc_set_exact.cache_clear()
+    code, out, err = run(capsys, "discs", "3", "3", "--exact")
+    predictor.disc_set_exact.cache_clear()
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error:") and "discriminant" in err
 
 
 def test_usage_error_exit_2(capsys):

@@ -1,11 +1,8 @@
-import itertools
-
 import pytest
 
 from spinecycles import _kernel, cycles, predictor, ssgraph
 from spinecycles.arith import primes_in
 from spinecycles.cycles import (
-    DepthExceeded,
     DirectedCycle,
     EdgeRef,
     census,
@@ -178,10 +175,37 @@ def test_no_backtracking_including_wraparound(graph_4643_3):
 
 
 def test_depth_limits(graph_101_2):
-    with pytest.raises(DepthExceeded):
-        enumerate_cycles(graph_101_2, 11)
     with pytest.raises(ValueError):
         enumerate_cycles(graph_101_2, 2)
+    # no upper cap: lengths above 10 enumerate like any other
+    found = enumerate_cycles(graph_101_2, 11)
+    assert found and all(len(c) == 11 for c in found)
+    assert census(graph_101_2, 11).n_t_graph == len(found)
+
+
+def _closed_walks_by_dfs(table: cycles._EdgeTable, r: int) -> list[tuple[int, ...]]:
+    """Reference cycles: every closed non-backtracking walk of r edges, by plain
+    DFS from every start edge, with rotations merged and periodic walks dropped."""
+    out_edges = [range(table.vert_start[v], table.vert_start[v + 1])
+                 for v in range(len(table.vert_start) - 1)]
+    src = [e.src for e in table.edges]
+    found = set()
+
+    def extend(walk):
+        last = walk[-1]
+        if len(walk) == r:
+            if table.edge_to[last] == src[walk[0]] and walk[0] != table.dual[last]:
+                rotations = {walk[i:] + walk[:i] for i in range(r)}
+                if len(rotations) == r:
+                    found.add(min(rotations))
+            return
+        for f in out_edges[table.edge_to[last]]:
+            if f != table.dual[last]:
+                extend(walk + (f,))
+
+    for e in range(len(table.edges)):
+        extend((e,))
+    return sorted(found)
 
 
 @pytest.mark.parametrize("p", [23, 47])
@@ -192,18 +216,10 @@ def test_closed_walks_match_brute_force(p):
     assert any(u == v for u, row in enumerate(g.out_edges) for v, _ in row)
     assert any(m > 1 for row in g.out_edges for _, m in row)
     table = cycles._EdgeTable(g)
-    src = [e.src for e in table.edges]
-    for r in range(2, 6):
-        want = set()
-        for walk in itertools.product(range(len(table.edges)), repeat=r):
-            steps = [(walk[i], walk[(i + 1) % r]) for i in range(r)]
-            if any(table.edge_to[e] != src[f] or f == table.dual[e] for e, f in steps):
-                continue
-            rotations = {walk[i:] + walk[:i] for i in range(r)}
-            if len(rotations) == r:
-                want.add(min(rotations))
+    for r in range(2, 13):
+        want = _closed_walks_by_dfs(table, r)
         got = _kernel.closed_walks(r, table.edge_to, table.dual, table.vert_start)
-        assert got == sorted(want), (p, r)
+        assert got == want, (p, r)
 
 
 # ------------------------------------------------------------------- census --
@@ -234,6 +250,7 @@ def test_even_case_histogram_support():
         untainted_support = {
             c.spine_count for c in enumerate_cycles(g, 6) if not c.tainted
         }
+        assert cen.untainted_support == untainted_support, p
         assert untainted_support <= {0, 2}, (p, untainted_support)
 
 

@@ -8,6 +8,7 @@ from spinecycles import quadforms as qf
 from spinecycles.quadforms import (
     BinaryQuadraticForm,
     Discriminant,
+    InvariantViolation,
     NotEllFundamental,
     NotSplit,
     class_number,
@@ -199,6 +200,18 @@ def test_prime_form_not_split():
 def test_prime_form_not_ell_fundamental():
     with pytest.raises(NotEllFundamental):
         prime_form(-99, 3)  # conductor 3
+
+
+def test_composition_failures_are_invariant_violations(monkeypatch):
+    # each is unreachable with correct arithmetic, so each is a bug, not bad input
+    with pytest.raises(InvariantViolation):
+        qf._solve_linear(2, 1, 4)
+    monkeypatch.setattr(qf, "kronecker", lambda d, n: 1)  # claim 5 splits in -8
+    with pytest.raises(InvariantViolation):
+        prime_form(-8, 5)
+    monkeypatch.setattr(qf, "compose", lambda f, g, D: f)  # never reaches the identity
+    with pytest.raises(InvariantViolation):
+        form_order(BinaryQuadraticForm(3, 1, 9), -107)
 
 
 def test_prime_form_norm_is_ell():
