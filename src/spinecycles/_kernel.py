@@ -3,8 +3,10 @@
 Five entry points, called through this module so that callers and tests can
 substitute them:
 
-    poly_roots(p, s, coeffs, seed)   roots in F_{p^2} of a small polynomial
-    PhiMod(p, s, ell, rows)          modular-polynomial specializer + roots
+    poly_roots(p, s, coeffs, seed, known=())
+                                     roots in F_{p^2} of a small polynomial
+    PhiMod(p, s, ell, rows)          modular-polynomial specializer;
+                                     .roots(ja, jb, seed, known=())
     curve_ap(p, a4, a6)              trace of Frobenius via a character sum
     first_ss_j(p, start)             scan for a supersingular j in F_p
     closed_walks(r, ...)             primitive non-backtracking closed walks of
@@ -14,7 +16,15 @@ F_{p^2} is F_p[w] with w^2 = s for a quadratic nonresidue s; elements are
 (a, b) pairs meaning a + b*w.  Polynomials are lists of such pairs, index =
 degree.
 
-Root finding computes one p-th power per call, yp = Y^p mod sqf on the
+Root finding first divides f once by (Y - c) for each root c the caller
+already knows, and searches only the quotient.  A linear quotient is read
+off.  A quadratic is solved in closed form: its discriminant is a square of
+F_{p^2} iff its norm is a square of F_p (a Legendre symbol), and the square
+root comes from two square roots in F_p by Tonelli-Shanks with the
+nonresidue s (Adj and Rodriguez-Henriquez 2014).  A nonsquare discriminant
+means f does not split.
+
+Higher degrees take one p-th power per call, yp = Y^p mod sqf on the
 squarefree part sqf = f / gcd(f, f'), and derives every other Frobenius
 image from it by composition (von zur Gathen and Shoup 1992).  Raising to
 the p-th power maps sum c_i Y^i to sum conj(c_i) Y^(ip), where conj(a + b*w)
@@ -180,18 +190,69 @@ def _cz_distinct_roots(h, yp, p, s, rng):
     return roots
 
 
-def poly_roots(p, s, coeffs, seed):
-    """All roots in F_{p^2} with multiplicity, sorted; None if f does not split."""
-    f = _p_strip([(a % p, b % p) for a, b in coeffs])
-    if not f:
-        raise ValueError("zero polynomial")
-    if len(f) - 1 > MAX_POLY_DEGREE:
-        raise ValueError("degree above kernel capacity")
-    if len(f) == 1:
-        return []
-    f = _p_monic(f, p, s)
-    rng = _SplitMix(_mix64(seed & _MASK64) ^ len(f))
+def _fp_sqrt(a, p, s):
+    """A square root of a square a of F_p, by Tonelli-Shanks with nonresidue s."""
+    if a == 0:
+        return 0
+    q, e = p - 1, 0
+    while not q & 1:
+        q >>= 1
+        e += 1
+    z = pow(s, q, p)
+    x = pow(a, (q + 1) >> 1, p)
+    t = pow(a, q, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(z, 1 << (e - i - 1), p)
+        x, z = x * b % p, b * b % p
+        t, e = t * z % p, i
+    return x
 
+
+def _is_fp_square(a, p):
+    """Euler's criterion; 0 counts as a square."""
+    return pow(a, (p - 1) >> 1, p) != p - 1
+
+
+def _f2_sqrt(x, p, s):
+    """A square root of x = a + b*w in F_{p^2}, or None if x is not a square."""
+    a, b = x
+    if b == 0:
+        # every element of F_p is a square in F_{p^2}: sqrt(a) or sqrt(a/s)*w
+        if _is_fp_square(a, p):
+            return (_fp_sqrt(a, p, s), 0)
+        return (0, _fp_sqrt(a * pow(s, p - 2, p) % p, p, s))
+    # x is a square iff its norm is; then (u + v*w)^2 = x for u^2 = (a +- t)/2
+    # with t^2 the norm, and of those two the one that is a square in F_p
+    # (their product s*b^2/4 is not), and v = b/(2u)
+    norm = (a * a - s * b * b) % p
+    if not _is_fp_square(norm, p):
+        return None
+    t = _fp_sqrt(norm, p, s)
+    half = (p + 1) >> 1
+    u2 = (a + t) * half % p
+    if not _is_fp_square(u2, p):
+        u2 = (a - t) * half % p
+    u = _fp_sqrt(u2, p, s)
+    return (u, b * half * pow(u, p - 2, p) % p)
+
+
+def _quadratic_roots(f, p, s):
+    """Both roots of a monic quadratic, or None if they lie outside F_{p^2}."""
+    (c0, c1), (b0, b1) = f[0], f[1]
+    disc = ((b0 * b0 + s * b1 * b1 - 4 * c0) % p, (2 * b0 * b1 - 4 * c1) % p)
+    r = _f2_sqrt(disc, p, s)
+    if r is None:
+        return None
+    half = (p + 1) >> 1
+    return [((sign * r[0] - b0) * half % p, (sign * r[1] - b1) * half % p) for sign in (1, -1)]
+
+
+def _split_roots(f, p, s, rng):
+    """Roots of monic f with multiplicity, by Cantor-Zassenhaus; None if f does not split."""
     df = _p_derivative(f, p)
     sqf = _p_divmod(f, _p_gcd(f, df, p, s), p, s)[0] if df else f
     # the part of sqf splitting over F_{p^2}: gcd(sqf, Y^(p^2) - Y), with
@@ -215,9 +276,37 @@ def poly_roots(p, s, coeffs, seed):
                 break
             roots.append(c)
             rem = q
-    if len(rem) > 1:
-        return None
-    return sorted(roots)
+    return None if len(rem) > 1 else roots
+
+
+def poly_roots(p, s, coeffs, seed, known=()):
+    """All roots in F_{p^2} with multiplicity, sorted; None if f does not split.
+
+    `known` holds distinct roots of f, already found elsewhere.  f is divided
+    once by (Y - c) for each c in it, only the quotient is searched, and the
+    result is `known` plus the quotient's roots.  A c that is not a root of f
+    leaves a remainder, and the answer is None.
+    """
+    f = _p_strip([(a % p, b % p) for a, b in coeffs])
+    if not f:
+        raise ValueError("zero polynomial")
+    if len(f) - 1 > MAX_POLY_DEGREE:
+        raise ValueError("degree above kernel capacity")
+    f = _p_monic(f, p, s)
+    for a, b in known:
+        f, r = _p_divmod(f, [((p - a) % p, (p - b) % p), (1, 0)], p, s)
+        if r:
+            return None
+    d = len(f) - 1
+    if d == 0:
+        roots = []
+    elif d == 1:
+        roots = [((p - f[0][0]) % p, (p - f[0][1]) % p)]
+    elif d == 2:
+        roots = _quadratic_roots(f, p, s)
+    else:
+        roots = _split_roots(f, p, s, _SplitMix(_mix64(seed & _MASK64) ^ len(f)))
+    return None if roots is None else sorted([*known, *roots])
 
 
 class PhiMod:
@@ -232,7 +321,7 @@ class PhiMod:
         self.ell = ell
         self.rows = [[c % p for c in row] for row in rows]
 
-    def roots(self, ja, jb, seed):
+    def roots(self, ja, jb, seed, known=()):
         p, s = self.p, self.s
         deg = self.ell + 1
         jpow = [(1, 0)]
@@ -247,7 +336,7 @@ class PhiMod:
                     ca += c * jpow[i][0]
                     cb += c * jpow[i][1]
             coeffs.append((ca % p, cb % p))
-        return poly_roots(p, s, coeffs, _mix64(seed & _MASK64) ^ _mix64((ja << 20) ^ jb ^ 1))
+        return poly_roots(p, s, coeffs, _mix64(seed & _MASK64) ^ _mix64((ja << 20) ^ jb ^ 1), known)
 
 
 def _qr_table(p):

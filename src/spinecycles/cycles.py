@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from . import _kernel
+from .quadforms import InvariantViolation
 from .ssgraph import IsogenyGraph
 
 
@@ -79,7 +80,9 @@ class _EdgeTable:
         for e in edges:
             back = graph.multiplicity(e.dst, e.src)
             if back == 0:
-                raise ValueError("adjacency is not symmetric: missing reverse edge")
+                raise InvariantViolation(
+                    f"adjacency is not symmetric at p = {graph.p}: edge {e.src} -> {e.dst} has no reverse"
+                )
             c = e.copy if e.copy < back else e.copy % back
             dual.append(index[(e.dst, e.src, c)])
         self.edges = edges

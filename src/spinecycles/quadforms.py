@@ -102,7 +102,7 @@ class BinaryQuadraticForm:
 def reduce_form(f: BinaryQuadraticForm) -> BinaryQuadraticForm:
     a, b, c = f.a, f.b, f.c
     if a <= 0 or f.discriminant() >= 0:
-        raise ValueError("form must be positive definite")
+        raise InvariantViolation("form must be positive definite")
     while True:
         if b <= -a or b > a:
             # normalize b into (-a, a]

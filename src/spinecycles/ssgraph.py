@@ -9,7 +9,9 @@ a scan by trace only when all seven such discriminants split.  Vertices are
 the pairs (a, b) standing for a + b*w in the basis of
 ``arith.PrimeContext``, sorted canonically, and the spine is flagged as the
 b == 0 locus.  Off the spine the kernel finds roots at one vertex of each
-Frobenius pair (a, b), (a, -b) and the other row is its conjugate.  The
+Frobenius pair (a, b), (a, -b) and the other row is its conjugate.  Phi_ell
+is symmetric, so every built vertex whose row lists v is a root at v: the
+kernel is handed those and divides them out before it searches.  The
 vertex-count identity floor((p-1)/12) + eps is enforced as a hard
 postcondition so that any arithmetic defect fails loudly instead of
 corrupting a census.
@@ -53,8 +55,9 @@ class VertexCountMismatch(Exception):
 class NonSplitInput(Exception):
     """Phi_ell(j, Y) at a vertex j has no ell + 1 roots in F_{p^2}.
 
-    Either an irreducible nonlinear factor remains (j is not supersingular) or
-    the kernel returned the wrong number of roots: an arithmetic bug.
+    Either an irreducible nonlinear factor remains (j is not supersingular), or
+    a neighbour handed to the kernel as known is not a root, or the kernel
+    returned the wrong number of roots: an arithmetic bug.
     """
 
 
@@ -193,17 +196,21 @@ def build_graph(p: int, ell: int, seed: int = 0, phi: ModularPolynomialData | No
 
     j0 = (find_supersingular_j(p), 0)
     adjacency: dict[tuple[int, int], tuple[tuple[tuple[int, int], int], ...]] = {}
+    # the built vertices whose rows list a queued vertex: by the symmetry of
+    # Phi_ell they are roots at that vertex, so the kernel need not find them
+    known: dict[tuple[int, int], list[tuple[int, int]]] = {}
     queue = deque([j0])
     pending = {j0}
     while queue:
         v = queue.popleft()
         conj = (v[0], -v[1] % p)
+        neighbours = known.pop(v, ())
         if conj in adjacency:
             # Phi_ell has integer coefficients, so Frobenius maps the roots at
             # conj(v) onto the roots at v, multiplicities included
             grouped = tuple(sorted(((w[0], -w[1] % p), m) for w, m in adjacency[conj]))
         else:
-            found = phimod.roots(v[0], v[1], seed)
+            found = phimod.roots(v[0], v[1], seed, neighbours)
             if found is None or len(found) != data.ell + 1:
                 raise NonSplitInput(
                     f"Phi_{data.ell}({_label(v)}, Y) does not split into {data.ell + 1} roots"
@@ -212,6 +219,8 @@ def build_graph(p: int, ell: int, seed: int = 0, phi: ModularPolynomialData | No
             grouped = tuple(sorted(Counter(found).items()))
         adjacency[v] = grouped
         for w, _ in grouped:
+            if w not in adjacency:
+                known.setdefault(w, []).append(v)
             if w not in pending:
                 pending.add(w)
                 queue.append(w)

@@ -278,7 +278,10 @@ def test_f2_roots_match_exhaustive_evaluation(data):
     ctx = PrimeContext(p)
     s = ctx.nonresidue
     element = st.tuples(st.integers(0, p - 1), st.integers(0, p - 1))
-    poly = _from_roots(data.draw(st.lists(element, max_size=6)), ctx)
+    roots = data.draw(st.lists(element, max_size=6))
+    poly = _from_roots(roots, ctx)
+    # roots already known are divided out, and only the quotient is searched
+    known = data.draw(st.lists(st.sampled_from(roots), unique=True)) if roots else []
     with_quadratic = data.draw(st.booleans())
     if with_quadratic:
         # Y^2 + bY + (b^2 - z)/4 has discriminant z, a nonsquare of F_{p^2}
@@ -288,8 +291,12 @@ def test_f2_roots_match_exhaustive_evaluation(data):
         bb = _f2_mul(b, b, p, s)
         c = ((bb[0] - z[0]) * pow(4, -1, p) % p, (bb[1] - z[1]) * pow(4, -1, p) % p)
         poly = _p_mul(poly, [c, b, (1, 0)], p, s)
-    found = _roots(poly, ctx, seed=data.draw(st.integers(0, 2**32)))
+    seed = data.draw(st.integers(0, 2**32))
+    found = _kernel.poly_roots(p, s, poly, seed, known)
     if with_quadratic:
         assert found is None
     else:
         assert found == _roots_by_evaluation(poly, p, s)
+    # a known value that is not a root leaves a remainder: no answer, split or not
+    stranger = data.draw(element.filter(lambda x: x not in roots))
+    assert _kernel.poly_roots(p, s, poly, seed, [*known, stranger]) is None

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from spinecycles import _kernel, cli, cycles, predictor, quadforms, ssgraph
@@ -301,8 +303,8 @@ class _DropOneRootAtZero:
     def __init__(self, *args):
         self.inner = self.real(*args)
 
-    def roots(self, ja, jb, seed):
-        found = self.inner.roots(ja, jb, seed)
+    def roots(self, ja, jb, seed, known=()):
+        found = self.inner.roots(ja, jb, seed, known)
         return found[1:] if (ja, jb) == (0, 0) else found
 
 
@@ -316,6 +318,24 @@ def test_internal_error_exit_3(capsys, monkeypatch, broken, message):
     assert code == 3
     assert out == ""
     assert err.startswith("internal error:") and message in err and "p = 101" in err
+
+
+def test_asymmetric_adjacency_is_internal_error(capsys, monkeypatch):
+    # a graph missing the edges of one group of vertex 0 (what a wrong
+    # neighbour list at graph building would produce) is a bug, not bad input
+    real = ssgraph.build_graph
+
+    def drop_one_group(*args, **kwargs):
+        g = real(*args, **kwargs)
+        target = next(w for w, _ in g.out_edges[0] if w != 0)
+        row = tuple((w, m) for w, m in g.out_edges[0] if w != target)
+        return dataclasses.replace(g, out_edges=(row, *g.out_edges[1:]))
+
+    monkeypatch.setattr(ssgraph, "build_graph", drop_one_group)
+    code, out, err = run(capsys, "validate", "--ell", "2", "--r", "3", "--primes", "179")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error:") and "not symmetric at p = 179" in err
 
 
 def test_composition_failure_is_internal_error(capsys, monkeypatch):

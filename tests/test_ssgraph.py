@@ -257,24 +257,28 @@ def test_special_vertices_present_when_supersingular(graph_4643_3):
     assert (0, 0) in build_graph(101, 2).vertices
 
 
-@pytest.mark.parametrize("p, ell", [(1009, 3), (1021, 2), (1031, 5)])
+@pytest.mark.parametrize("p, ell", [(1009, 3), (1021, 2), (1031, 5), (1019, 7)])
 def test_roots_found_once_per_frobenius_orbit(monkeypatch, p, ell):
     # build_graph asks the kernel at one vertex of each pair {v, conj(v)} and
-    # conjugates the other; every row must still equal the kernel's own roots
-    calls = []
+    # conjugates the other, and passes the neighbours it already knows; every
+    # row must still equal the kernel's full search, with nothing known
+    calls, known_counts = [], []
     real = ssgraph._kernel.PhiMod
 
     class Counting:
         def __init__(self, *args):
             self.inner = real(*args)
 
-        def roots(self, ja, jb, seed):
+        def roots(self, ja, jb, seed, known=()):
             calls.append((ja, jb))
-            return self.inner.roots(ja, jb, seed)
+            known_counts.append(len(known))
+            return self.inner.roots(ja, jb, seed, known)
 
     monkeypatch.setattr(ssgraph._kernel, "PhiMod", Counting)
     g = build_graph(p, ell)
     assert len(calls) == len(set(calls)) == g.spine_size + (g.vertex_count - g.spine_size) // 2
+    # only the seed is reached by no built row
+    assert known_counts[0] == 0 and min(known_counts[1:]) >= 1
     ctx = PrimeContext(p)
     phimod = real(p, ctx.nonresidue, ell, ModularPolynomialData.load(ell).reduced_rows(p))
     for v, row in zip(g.vertices, g.out_edges):
@@ -292,8 +296,8 @@ def test_out_degree_check_fires_under_optimize():
         "class DropOne:\n"
         "    def __init__(self, *args):\n"
         "        self.inner = real(*args)\n"
-        "    def roots(self, ja, jb, seed):\n"
-        "        found = self.inner.roots(ja, jb, seed)\n"
+        "    def roots(self, ja, jb, seed, known=()):\n"
+        "        found = self.inner.roots(ja, jb, seed, known)\n"
         "        return found[1:] if (ja, jb) == (0, 0) else found\n"
         "_kernel.PhiMod = DropOne\n"
         "ssgraph.build_graph(101, 2)\n"
