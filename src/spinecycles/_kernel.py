@@ -379,6 +379,22 @@ def first_ss_j(p, start):
     raise ValueError(f"no supersingular j in [{start}, {p})")
 
 
+def _ball(v, radius, edge_to, vert_start):
+    """Distances from v, up to radius, over the vertices >= v: {vertex: d}."""
+    dist = {v: 0}
+    frontier = [v]
+    for d in range(1, radius + 1):
+        nxt = []
+        for u in frontier:
+            for e in range(vert_start[u], vert_start[u + 1]):
+                w = edge_to[e]
+                if w > v and w not in dist:
+                    dist[w] = d
+                    nxt.append(w)
+        frontier = nxt
+    return dist
+
+
 def closed_walks(r, edge_to, edge_dual, vert_start):
     """The primitive non-backtracking closed walks of length r, each once.
 
@@ -390,12 +406,29 @@ def closed_walks(r, edge_to, edge_dual, vert_start):
     power and begins with the walk's least edge (Chen-Fox-Lyndon; Duval
     1983).  So the search from start edge e0 extends only with edges >= e0,
     and the walks come out sorted.
+
+    The search is pruned to the ball of radius r // 2 around the start
+    vertex v: an edge into w is skipped when w is farther from v than the
+    number of edges the walk would still need after it.  The prune is exact.
+    The Lyndon rule keeps every vertex of a walk from v at index >= v (edges
+    >= e0 leave vertices >= v), so distances are taken by breadth-first
+    search over the vertices >= v only.  Every edge has a dual going back
+    (edge_dual), so that adjacency is symmetric: the distance from v to w
+    is also the shortest way from w back to v, and a branch is cut only if
+    no completion of it can close at v.  Vertices outside the ball count as
+    radius + 1, a lower bound on their distance.  Only the first
+    ceil(r/2) edges of a walk are free; every later edge must stay within
+    reach of v, so the cost falls from about ell^r / r walks per vertex to
+    about ell^ceil(r/2).
     """
     if r < 2:
         raise ValueError("walk length must be at least 2")
     n = len(vert_start) - 1
+    radius = r // 2
+    far = radius + 1
     out = []
     for v in range(n):
+        dist = _ball(v, radius, edge_to, vert_start)
         for e0 in range(vert_start[v], vert_start[v + 1]):
             path = [e0]
             w = edge_to[e0]
@@ -415,7 +448,9 @@ def closed_walks(r, edge_to, edge_dual, vert_start):
                         if all(walk < walk[i:] + walk[:i] for i in range(1, r) if walk[i] == e0):
                             out.append(walk)
                 else:
-                    path.append(e)
                     w = edge_to[e]
+                    if dist.get(w, far) > r - 1 - len(path):
+                        continue
+                    path.append(e)
                     stack.append(iter(range(max(vert_start[w], e0), vert_start[w + 1])))
     return out

@@ -5,8 +5,12 @@ that is not a proper power of a shorter walk, with the basepoint forgotten.
 The kernel's search emits each cycle once, in canonical form: the
 lexicographically least rotation of its edge-index sequence.
 Direction is kept: a cycle and its opposite (reverse traversal through dual
-edges) are distinct.  Any r >= 3 is accepted; the search explores about
-(ell+1)*ell^(r-1)/r walks per vertex, so its cost grows like ell^r.
+edges) are distinct.  Any r >= 3 is accepted.  The search from each vertex
+stays in the ball of radius r // 2 around it, since a walk cannot get back
+in the steps left from any farther out, so its cost grows like
+ell^ceil(r/2) per vertex rather than ell^r.  `census` aggregates spine
+counts and taint from per-edge flags without building cycle objects;
+`enumerate_cycles` builds them for callers that need the cycles.
 
 Backtracking is decided by a fixed pairing of parallel edge copies: the dual
 of (u, v, copy) is (v, u, copy), falling back to copy mod multiplicity where
@@ -92,40 +96,47 @@ class _EdgeTable:
         self.vert_start = vert_start
 
 
-def enumerate_cycles(graph: IsogenyGraph, r: int) -> list[DirectedCycle]:
-    """All directed isogeny cycles of length r, canonically sorted."""
+def _scored_walks(graph: IsogenyGraph, r: int):
+    """The table and the kernel's walks, each with its spine count and taint flag.
+
+    Spine count and taint are read from per-edge flags on each edge's source,
+    so no per-cycle objects are built.
+    """
     if r < 3:
         raise ValueError("cycle length must be at least 3")
     table = _EdgeTable(graph)
-    special = {i for i, v in enumerate(graph.vertices)
-               if v in ((0, 0), (1728 % graph.p, 0))}
-    out = []
-    for walk in _kernel.closed_walks(r, table.edge_to, table.dual, table.vert_start):
-        edges = tuple(table.edges[i] for i in walk)
-        verts = [e.src for e in edges]
-        out.append(
-            DirectedCycle(
-                edges=edges,
-                spine_count=sum(1 for v in verts if graph.spine[v]),
-                tainted=any(v in special for v in verts),
-            )
-        )
-    return out
+    special = ((0, 0), (1728 % graph.p, 0))
+    on_spine = [graph.spine[e.src] for e in table.edges]
+    at_special = [graph.vertices[e.src] in special for e in table.edges]
+    walks = _kernel.closed_walks(r, table.edge_to, table.dual, table.vert_start)
+    return table, [
+        (walk, sum(map(on_spine.__getitem__, walk)), any(map(at_special.__getitem__, walk)))
+        for walk in walks
+    ]
+
+
+def enumerate_cycles(graph: IsogenyGraph, r: int) -> list[DirectedCycle]:
+    """All directed isogeny cycles of length r, canonically sorted."""
+    table, scored = _scored_walks(graph, r)
+    return [
+        DirectedCycle(edges=tuple(table.edges[i] for i in walk), spine_count=spine, tainted=tainted)
+        for walk, spine, tainted in scored
+    ]
 
 
 def census(graph: IsogenyGraph, r: int) -> CycleCensus:
     """Counts, the per-cycle spine-vertex histogram and its untainted support."""
-    found = enumerate_cycles(graph, r)
+    _, scored = _scored_walks(graph, r)
     histogram: dict[int, int] = {}
-    for c in found:
-        histogram[c.spine_count] = histogram.get(c.spine_count, 0) + 1
+    for _, spine, _ in scored:
+        histogram[spine] = histogram.get(spine, 0) + 1
     return CycleCensus(
         p=graph.p,
         ell=graph.ell,
         r=r,
-        n_t_graph=len(found),
-        n_s_graph=sum(1 for c in found if c.spine_count >= 1),
+        n_t_graph=len(scored),
+        n_s_graph=len(scored) - histogram.get(0, 0),
         spine_count_histogram=histogram,
-        tainted_present=any(c.tainted for c in found),
-        untainted_support=frozenset(c.spine_count for c in found if not c.tainted),
+        tainted_present=any(tainted for _, _, tainted in scored),
+        untainted_support=frozenset(spine for _, spine, tainted in scored if not tainted),
     )

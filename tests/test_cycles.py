@@ -208,15 +208,30 @@ def _closed_walks_by_dfs(table: cycles._EdgeTable, r: int) -> list[tuple[int, ..
     return sorted(found)
 
 
-@pytest.mark.parametrize("p", [23, 47])
-def test_closed_walks_match_brute_force(p):
-    # ell = 2 at p = 23, 47: loops, parallel edges, and both j = 0 and j = 1728
-    g = ssgraph.build_graph(p, 2)
-    assert {(0, 0), (1728 % p, 0)} <= set(g.vertices)
-    assert any(u == v for u, row in enumerate(g.out_edges) for v, _ in row)
-    assert any(m > 1 for row in g.out_edges for _, m in row)
+@pytest.mark.parametrize(
+    "p, ell, lengths",
+    [
+        pytest.param(23, 2, range(2, 13), id="23"),
+        pytest.param(47, 2, range(2, 13), id="47"),
+        pytest.param(1019, 3, range(3, 7), id="1019-3"),
+        pytest.param(4099, 2, range(3, 9), id="4099-2"),
+    ],
+)
+def test_closed_walks_match_brute_force(p, ell, lengths):
+    g = ssgraph.build_graph(p, ell)
     table = cycles._EdgeTable(g)
-    for r in range(2, 13):
+    if p < 50:
+        # ell = 2 at p = 23, 47: loops, parallel edges, and both j = 0 and j = 1728
+        assert {(0, 0), (1728 % p, 0)} <= set(g.vertices)
+        assert any(u == v for u, row in enumerate(g.out_edges) for v, _ in row)
+        assert any(m > 1 for row in g.out_edges for _, m in row)
+    else:
+        # the radius-r//2 ball misses part of the graph, so the distance prune
+        # cuts; vertex 0 is the start whose ball no vertex index is kept out of
+        for r in lengths:
+            ball = _kernel._ball(0, r // 2, table.edge_to, table.vert_start)
+            assert len(ball) < g.vertex_count, (p, r)
+    for r in lengths:
         want = _closed_walks_by_dfs(table, r)
         got = _kernel.closed_walks(r, table.edge_to, table.dual, table.vert_start)
         assert got == want, (p, r)
