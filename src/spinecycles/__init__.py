@@ -4,7 +4,7 @@ class-number predictions, with prime-sweep censuses tying the two together.
 """
 
 from ._kernel import BACKEND
-from .cycles import census, enumerate_cycles
+from .cycles import census
 from .predictor import average_limit, kaneko_bound, predict, residue_census
 from .ssgraph import build_graph
 
@@ -16,7 +16,6 @@ __all__ = [
     "average_limit",
     "build_graph",
     "census",
-    "enumerate_cycles",
     "kaneko_bound",
     "predict",
     "residue_census",

@@ -1,4 +1,4 @@
-"""Directed cycles of a built isogeny graph: `census` counts, `enumerate_cycles` lists.
+"""Directed cycles of a built isogeny graph, counted by `census`.
 
 A cycle of length r is a cyclically non-backtracking closed walk of r edges
 that is not a proper power of a shorter walk, with the basepoint forgotten.
@@ -8,16 +8,17 @@ Direction is kept: a cycle and its opposite (reverse traversal through dual
 edges) are distinct.  Any r >= 3 is accepted.  The search from each vertex
 stays in the ball of radius r // 2 around it, since a walk cannot get back
 in the steps left from any farther out, so its cost grows like
-ell^ceil(r/2) per vertex rather than ell^r.  `census` aggregates spine
-counts and taint from per-edge flags without building cycle objects;
-`enumerate_cycles` builds them for callers that need the cycles.
+ell^ceil(r/2) per vertex rather than ell^r.  `census` folds the walks into
+spine counts and taint through per-edge flags, so no cycle is ever built as
+an object; a caller that needs the cycles themselves lists them with
+`_kernel.closed_walks` over the arrays of `_edges`.
 
-Backtracking is decided by a fixed pairing of parallel edge copies: the dual
-of (u, v, copy) is (v, u, copy), falling back to copy mod multiplicity where
-the reverse multiset is smaller (possible only through the extra-automorphism
-vertices j = 0, 1728).  Cycles touching those two vertices are flagged
-tainted, and censuses report them separately, since the exact-count theorems
-are silent there.
+Backtracking is decided by a fixed pairing of parallel edge copies: copy c
+of u -> v is paired with copy c mod m of v -> u, where m is the multiplicity
+of v -> u.  That is copy c itself except where the reverse multiset is
+smaller (possible only through the extra-automorphism vertices j = 0, 1728).
+Cycles touching those two vertices are flagged tainted, and censuses report
+them separately, since the exact-count theorems are silent there.
 """
 
 from __future__ import annotations
@@ -30,37 +31,10 @@ from .quadforms import InvariantViolation
 from .ssgraph import IsogenyGraph
 
 
-@dataclass(frozen=True, order=True)
-class EdgeRef:
-    """One directed edge copy: `copy` indexes parallel edges from src to dst."""
-
-    src: int
-    dst: int
-    copy: int
-
-
-@dataclass(frozen=True)
-class DirectedCycle:
-    """An isogeny cycle in minimal-rotation form."""
-
-    edges: tuple[EdgeRef, ...]
-    spine_count: int  # positions whose vertex lies on the spine
-    tainted: bool     # passes through j = 0 or j = 1728
-
-    def __len__(self):
-        return len(self.edges)
-
-    def vertex_indices(self) -> tuple[int, ...]:
-        return tuple(e.src for e in self.edges)
-
-
 @dataclass(frozen=True)
 class CycleCensus:
     """Aggregated counts of the directed r-cycles of one graph."""
 
-    p: int
-    ell: int
-    r: int
     n_t_graph: int
     n_s_graph: int
     spine_count_histogram: Mapping[int, int]
@@ -68,75 +42,56 @@ class CycleCensus:
     untainted_support: frozenset[int]  # spine counts of the untainted cycles
 
 
-class _EdgeTable:
-    """Flat edge arrays: index order equals lexicographic (src, dst, copy)."""
+def _edges(graph: IsogenyGraph) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Flat edge arrays (src, edge_to, dual, vert_start).
 
-    def __init__(self, graph: IsogenyGraph):
-        edges: list[EdgeRef] = []
-        vert_start = [0]
-        for u, row in enumerate(graph.out_edges):
-            for v, mult in row:
-                for c in range(mult):
-                    edges.append(EdgeRef(u, v, c))
-            vert_start.append(len(edges))
-        index = {(e.src, e.dst, e.copy): i for i, e in enumerate(edges)}
-        dual = []
-        for e in edges:
-            back = graph.multiplicity(e.dst, e.src)
-            if back == 0:
-                raise InvariantViolation(
-                    f"adjacency is not symmetric at p = {graph.p}: edge {e.src} -> {e.dst} has no reverse"
-                )
-            c = e.copy if e.copy < back else e.copy % back
-            dual.append(index[(e.dst, e.src, c)])
-        self.edges = edges
-        self.index = index
-        self.dual = dual
-        self.edge_to = [e.dst for e in edges]
-        self.vert_start = vert_start
-
-
-def _scored_walks(graph: IsogenyGraph, r: int):
-    """The table and the kernel's walks, each with its spine count and taint flag.
-
-    Spine count and taint are read from per-edge flags on each edge's source,
-    so no per-cycle objects are built.
+    Edge indices follow the lexicographic (src, dst, copy) order, so the
+    out-edges of vertex u are the indices [vert_start[u], vert_start[u+1]).
     """
-    if r < 3:
-        raise ValueError("cycle length must be at least 3")
-    table = _EdgeTable(graph)
-    special = ((0, 0), (1728 % graph.p, 0))
-    on_spine = [graph.spine[e.src] for e in table.edges]
-    at_special = [graph.vertices[e.src] in special for e in table.edges]
-    walks = _kernel.closed_walks(r, table.edge_to, table.dual, table.vert_start)
-    return table, [
-        (walk, sum(map(on_spine.__getitem__, walk)), any(map(at_special.__getitem__, walk)))
-        for walk in walks
-    ]
-
-
-def enumerate_cycles(graph: IsogenyGraph, r: int) -> list[DirectedCycle]:
-    """All directed isogeny cycles of length r, canonically sorted."""
-    table, scored = _scored_walks(graph, r)
-    return [
-        DirectedCycle(edges=tuple(table.edges[i] for i in walk), spine_count=spine, tainted=tainted)
-        for walk, spine, tainted in scored
-    ]
+    src: list[int] = []
+    edge_to: list[int] = []
+    vert_start = [0]
+    first: dict[tuple[int, int], tuple[int, int]] = {}  # (u, v) -> (index of copy 0, multiplicity)
+    for u, row in enumerate(graph.out_edges):
+        for v, mult in row:
+            first[u, v] = (len(src), mult)
+            src += [u] * mult
+            edge_to += [v] * mult
+        vert_start.append(len(src))
+    dual: list[int] = []
+    for (u, v), (_, mult) in first.items():  # insertion order is edge order
+        if (v, u) not in first:
+            raise InvariantViolation(
+                f"adjacency is not symmetric at p = {graph.p}: edge {u} -> {v} has no reverse"
+            )
+        start, back = first[v, u]
+        dual += [start + c % back for c in range(mult)]
+    return src, edge_to, dual, vert_start
 
 
 def census(graph: IsogenyGraph, r: int) -> CycleCensus:
     """Counts, the per-cycle spine-vertex histogram and its untainted support."""
-    _, scored = _scored_walks(graph, r)
+    if r < 3:
+        raise ValueError("cycle length must be at least 3")
+    src, edge_to, dual, vert_start = _edges(graph)
+    special = ((0, 0), (1728 % graph.p, 0))
+    on_spine = [graph.spine[u] for u in src]
+    at_special = [graph.vertices[u] in special for u in src]
+    walks = _kernel.closed_walks(r, edge_to, dual, vert_start)
     histogram: dict[int, int] = {}
-    for _, spine, _ in scored:
+    tainted_present = False
+    untainted_support = set()
+    for walk in walks:
+        spine = sum(map(on_spine.__getitem__, walk))
         histogram[spine] = histogram.get(spine, 0) + 1
+        if any(map(at_special.__getitem__, walk)):
+            tainted_present = True
+        else:
+            untainted_support.add(spine)
     return CycleCensus(
-        p=graph.p,
-        ell=graph.ell,
-        r=r,
-        n_t_graph=len(scored),
-        n_s_graph=len(scored) - histogram.get(0, 0),
+        n_t_graph=len(walks),
+        n_s_graph=len(walks) - histogram.get(0, 0),
         spine_count_histogram=histogram,
-        tainted_present=any(tainted for _, _, tainted in scored),
-        untainted_support=frozenset(spine for _, spine, tainted in scored if not tainted),
+        tainted_present=tainted_present,
+        untainted_support=frozenset(untainted_support),
     )

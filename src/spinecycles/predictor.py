@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from . import quadforms
 from .arith import is_prime, kronecker, moebius, factorize
@@ -253,8 +253,6 @@ class ResidueCensus:
     even_case: bool  # even non-power-of-2 r: spine counts rest on the halved formula
 
     def entry(self, m: int) -> tuple[int, int]:
-        from math import gcd
-
         m %= self.modulus
         if gcd(m, self.modulus) != 1:
             raise ValueError(f"residue {m} is not coprime to the modulus")
@@ -262,7 +260,7 @@ class ResidueCensus:
 
 
 def residue_census(ell: int, r: int) -> ResidueCensus:
-    if r % 2 == 0 and is_even_power_of_two(r):
+    if is_even_power_of_two(r):
         raise ValueError("no residue census for r a power of two (conjectural case)")
     modulus = lcm(8, *(abs(d) for d in disc_set_exact(ell, r).values()))
     return ResidueCensus(ell, r, modulus, even_case=r % 2 == 0)

@@ -190,9 +190,11 @@ def build_graph(p: int, ell: int, seed: int = 0, phi: ModularPolynomialData | No
         raise ValueError("p must exceed 13")
     ctx = PrimeContext(p)
     data = phi if phi is not None else ModularPolynomialData.load(ell)
-    if data.ell + 1 > _kernel.MAX_POLY_DEGREE:
-        raise ValueError(f"level {data.ell} exceeds kernel degree capacity")
-    phimod = _kernel.PhiMod(p, ctx.nonresidue, data.ell, data.reduced_rows(p))
+    if data.ell != ell:
+        raise ValueError(f"modular polynomial table has level {data.ell}, expected {ell}")
+    if ell + 1 > _kernel.MAX_POLY_DEGREE:
+        raise ValueError(f"level {ell} exceeds kernel degree capacity")
+    phimod = _kernel.PhiMod(p, ctx.nonresidue, ell, data.reduced_rows(p))
 
     j0 = (find_supersingular_j(p), 0)
     adjacency: dict[tuple[int, int], tuple[tuple[tuple[int, int], int], ...]] = {}
@@ -211,9 +213,9 @@ def build_graph(p: int, ell: int, seed: int = 0, phi: ModularPolynomialData | No
             grouped = tuple(sorted(((w[0], -w[1] % p), m) for w, m in adjacency[conj]))
         else:
             found = phimod.roots(v[0], v[1], seed, neighbours)
-            if found is None or len(found) != data.ell + 1:
+            if found is None or len(found) != ell + 1:
                 raise NonSplitInput(
-                    f"Phi_{data.ell}({_label(v)}, Y) does not split into {data.ell + 1} roots"
+                    f"Phi_{ell}({_label(v)}, Y) does not split into {ell + 1} roots"
                     f" in F_{{p^2}} at p = {p}"
                 )
             grouped = tuple(sorted(Counter(found).items()))
@@ -237,7 +239,7 @@ def build_graph(p: int, ell: int, seed: int = 0, phi: ModularPolynomialData | No
         tuple(sorted((index[w], m) for w, m in adjacency[v])) for v in ordering
     )
     spine = tuple(b == 0 for _, b in ordering)
-    return IsogenyGraph(p=p, ell=data.ell, vertices=tuple(ordering), out_edges=out_edges, spine=spine)
+    return IsogenyGraph(p=p, ell=ell, vertices=tuple(ordering), out_edges=out_edges, spine=spine)
 
 
 def _label(v: tuple[int, int]) -> str:

@@ -9,7 +9,7 @@ here and nowhere else.
 import time
 from fractions import Fraction
 
-from spinecycles import cli, cycles, predictor, ssgraph
+from spinecycles import _kernel, cli, cycles, predictor, ssgraph
 from spinecycles.arith import kronecker, primes_in
 from spinecycles.quadforms import class_number, h2, two_torsion_bruteforce
 
@@ -74,7 +74,8 @@ def test_criterion_05_worked_prime_4643():
     sp = predictor.predict(3, 3, 4643)
     graph = ssgraph.build_graph(4643, 3)
     cen = cycles.census(graph, 3)
-    found = cycles.enumerate_cycles(graph, 3)
+    src, edge_to, dual, vert_start = cycles._edges(graph)
+    found = [tuple(src[e] for e in walk) for walk in _kernel.closed_walks(3, edge_to, dual, vert_start)]
 
     checks = {
         "formula (4,8)": (sp.n_s, sp.n_t) == (4, 8),
@@ -98,19 +99,11 @@ def test_criterion_05_worked_prime_4643():
         for c, d in ((3241, 2549), (3162, 3268), (3085, 3037),
                      (2967, 2094), (2560, 1606), (73, 1375))
     )
-    cycles23 = [
-        c for c in found
-        if frozenset(graph.vertices[v] for v in c.vertex_indices()) == row23
-    ]
-    offspine = [c for c in found if c.spine_count == 0]
-    off_verts = frozenset(
-        graph.vertices[v] for c in offspine for v in c.vertex_indices()
-    )
+    cycles23 = [c for c in found if frozenset(graph.vertices[v] for v in c) == row23]
+    offspine = [c for c in found if not any(graph.spine[v] for v in c)]
+    off_verts = frozenset(graph.vertices[v] for c in offspine for v in c)
     checks["two -23 cycles, spine vertex 173"] = len(cycles23) == 2 and all(
-        graph.vertices[v] == (173, 0)
-        for c in cycles23
-        for v in c.vertex_indices()
-        if graph.spine[v]
+        graph.vertices[v] == (173, 0) for c in cycles23 for v in c if graph.spine[v]
     )
     checks["-104 cycles have no F_p vertex"] = (
         len(offspine) == 4 and off_verts == row104 and all(b != 0 for _, b in off_verts)
@@ -143,10 +136,7 @@ def test_criterion_07_per_cycle_spine_counts(sweep_3_3):
     even_supports = {}
     for p in (3779, 3793, 3797):  # first primes above M_strong(2,6) = 3778.25
         graph = ssgraph.build_graph(p, 2)
-        support = {
-            c.spine_count for c in cycles.enumerate_cycles(graph, 6) if not c.tainted
-        }
-        even_supports[p] = support
+        even_supports[p] = cycles.census(graph, 6).untainted_support
     bad_even = {p: s for p, s in even_supports.items() if not s <= {0, 2}}
     ok = not bad_odd and not bad_even
     _verdict(

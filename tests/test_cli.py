@@ -55,15 +55,35 @@ def test_graph_output_and_dot(capsys, tmp_path):
     assert text.count("doublecircle") == 7
 
 
-def test_graph_accepts_external_phi(capsys, tmp_path):
-    from spinecycles.ssgraph import ModularPolynomialData
-
-    data = ModularPolynomialData.load(2)
+def _write_phi2(tmp_path):
+    """The built-in level-2 table, written out as an external --phi file."""
+    data = ssgraph.ModularPolynomialData.load(2)
     path = tmp_path / "phi2.txt"
     lines = [f"{i} {k} {c}" for (i, k), c in sorted(data.table.items()) if i >= k]
     path.write_text("\n".join(lines) + "\n")
-    code, out, _ = run(capsys, "graph", "101", "2", "--phi", str(path))
+    return str(path)
+
+
+def test_graph_accepts_external_phi(capsys, tmp_path):
+    code, out, _ = run(capsys, "graph", "101", "2", "--phi", _write_phi2(tmp_path))
     assert code == 0 and "vertices=9" in out
+
+
+def test_graph_rejects_phi_of_another_level(capsys, tmp_path):
+    code, out, err = run(capsys, "graph", "101", "3", "--phi", _write_phi2(tmp_path))
+    assert code == 2
+    assert out == "" and "level 2, expected 3" in err
+
+
+def test_validate_rejects_phi_of_another_level(capsys, tmp_path):
+    # a level-2 table must not stand in for Phi_3: that would compare the
+    # (3, 3) formula with a 2-isogeny graph and report a false violation
+    code, out, err = run(
+        capsys, "validate", "--ell", "3", "--r", "3", "--primes", "2789",
+        "--phi", _write_phi2(tmp_path),
+    )
+    assert code == 2
+    assert "VIOLATION" not in out and "level 2, expected 3" in err
 
 
 # ------------------------------------------------------------------ census --

@@ -2,22 +2,12 @@ import pytest
 
 from spinecycles import _kernel, cycles, predictor, ssgraph
 from spinecycles.arith import primes_in
-from spinecycles.cycles import (
-    DirectedCycle,
-    EdgeRef,
-    census,
-    enumerate_cycles,
-)
+from spinecycles.cycles import census
 
 
-def dual(e: EdgeRef, table: cycles._EdgeTable) -> EdgeRef:
-    """The paired reverse edge of e (involutive away from j = 0, 1728)."""
-    return table.edges[table.dual[table.index[(e.src, e.dst, e.copy)]]]
-
-
-def opposite(edges: tuple[EdgeRef, ...], table: cycles._EdgeTable) -> tuple[EdgeRef, ...]:
+def opposite(walk: tuple[int, ...], dual: list[int]) -> tuple[int, ...]:
     """The reverse traversal through dual edges, in minimal-rotation form."""
-    seq = tuple(dual(e, table) for e in reversed(edges))
+    seq = tuple(dual[e] for e in reversed(walk))
     return min(seq[i:] + seq[:i] for i in range(len(seq)))
 
 
@@ -53,10 +43,9 @@ def _table1_vertex_sets(p=4643):
 
 
 def test_dual_simple_edge(graph_101_2):
-    e = EdgeRef(0, 1, 0)
-    if graph_101_2.multiplicity(0, 1):
-        d = dual(e, cycles._EdgeTable(graph_101_2))
-        assert (d.src, d.dst) == (1, 0)
+    src, edge_to, dual, _ = cycles._edges(graph_101_2)
+    for e, d in enumerate(dual):
+        assert (src[d], edge_to[d]) == (edge_to[e], src[e])
 
 
 def test_dual_involution_structure_4643(graph_4643_3):
@@ -64,12 +53,12 @@ def test_dual_involution_structure_4643(graph_4643_3):
     # are supersingular and carry the only multiplicity asymmetries
     g = graph_4643_3
     special = {g.vertices.index((0, 0)), g.vertices.index((1728, 0))}
-    table = cycles._EdgeTable(g)
+    src, edge_to, dual, _ = cycles._edges(g)
     broken = set()
-    for i, e in enumerate(table.edges):
-        if dual(dual(e, table), table) != e:
-            broken.add(i)
-            assert e.src in special or e.dst in special
+    for e, d in enumerate(dual):
+        if dual[d] != e:
+            broken.add(e)
+            assert src[e] in special or edge_to[e] in special
     # the asymmetry is real at this prime: j = 0 has a triple out-edge whose
     # reverse is simple, j = 1728 two double out-edges with simple reverses
     assert len(broken) == 4
@@ -77,34 +66,29 @@ def test_dual_involution_structure_4643(graph_4643_3):
 
 def test_dual_pairs_parallel_copies(graph_4643_3):
     g = graph_4643_3
-    table = cycles._EdgeTable(g)
+    _, edge_to, dual, vert_start = cycles._edges(g)
+
+    def copies(u, w):  # indices of copy 0, 1, ... of u -> w
+        return [e for e in range(vert_start[u], vert_start[u + 1]) if edge_to[e] == w]
+
     for u, row in enumerate(g.out_edges):
         for w, mult in row:
             if mult > 1 and g.multiplicity(w, u) == mult:
-                for c in range(mult):
-                    assert dual(EdgeRef(u, w, c), table) == EdgeRef(w, u, c)
+                assert [dual[e] for e in copies(u, w)] == copies(w, u)
                 return
 
 
 # -------------------------------------------------------------- enumeration --
 
 
-def test_worked_prime_counts(graph_4643_3):
-    found = enumerate_cycles(graph_4643_3, 3)
-    assert len(found) == 8
-    spine_cycles = [c for c in found if c.spine_count >= 1]
-    assert len(spine_cycles) == 4
-    assert all(c.spine_count == 1 for c in spine_cycles)
-    assert not any(c.tainted for c in found)
-
-
 def test_worked_prime_table1_vertex_sets(graph_4643_3):
     g = graph_4643_3
-    found = enumerate_cycles(g, 3)
+    src, edge_to, dual, vert_start = cycles._edges(g)
+    found = _kernel.closed_walks(3, edge_to, dual, vert_start)
     expected = _table1_vertex_sets()
     seen = {}
-    for c in found:
-        verts = frozenset(g.vertices[v] for v in c.vertex_indices())
+    for walk in found:
+        verts = frozenset(g.vertices[src[e]] for e in walk)
         seen[verts] = seen.get(verts, 0) + 1
     # -23 and -92 each give one undirected triangle, traversed both ways
     assert seen[expected[-23]] == 2
@@ -118,92 +102,87 @@ def test_worked_prime_table1_vertex_sets(graph_4643_3):
 
 def test_worked_prime_spine_vertices(graph_4643_3):
     g = graph_4643_3
-    found = enumerate_cycles(g, 3)
-    spine_js = sorted(
-        {
-            g.vertices[v][0]
-            for c in found
-            for v in c.vertex_indices()
-            if g.spine[v] and c.spine_count
-        }
-    )
+    src, edge_to, dual, vert_start = cycles._edges(g)
+    found = [{src[e] for e in walk} for walk in _kernel.closed_walks(3, edge_to, dual, vert_start)]
+    spine_js = sorted({g.vertices[v][0] for verts in found for v in verts if g.spine[v]})
     assert spine_js == [173, 4537]
     # each of the two spine vertices lies on exactly two directed cycles
     i173 = g.vertices.index((173, 0))
     i4537 = g.vertices.index((4537, 0))
-    assert sum(1 for c in found if i173 in c.vertex_indices()) == 2
-    assert sum(1 for c in found if i4537 in c.vertex_indices()) == 2
+    assert sum(1 for verts in found if i173 in verts) == 2
+    assert sum(1 for verts in found if i4537 in verts) == 2
 
 
 def test_opposite_closure(graph_4643_3):
-    found = enumerate_cycles(graph_4643_3, 3)
-    table = cycles._EdgeTable(graph_4643_3)
-    canon = {c.edges for c in found}
-    for c in found:
-        opp = opposite(c.edges, table)
+    _, edge_to, dual, vert_start = cycles._edges(graph_4643_3)
+    found = _kernel.closed_walks(3, edge_to, dual, vert_start)
+    canon = set(found)
+    for walk in found:
+        opp = opposite(walk, dual)
         assert opp in canon
-        assert opp != c.edges  # directed counting: opposite is distinct
+        assert opp != walk  # directed counting: opposite is distinct
     assert len(found) % 2 == 0
 
 
 def test_canonical_form_is_minimal_rotation(graph_4643_3):
-    for c in enumerate_cycles(graph_4643_3, 3):
-        seq = c.edges
+    _, edge_to, dual, vert_start = cycles._edges(graph_4643_3)
+    for seq in _kernel.closed_walks(3, edge_to, dual, vert_start):
         rotations = [seq[i:] + seq[:i] for i in range(len(seq))]
         assert seq == min(rotations)
 
 
 def test_aperiodicity(graph_101_2):
     # length-6 walks that are squared triangles must have been dropped
-    for c in enumerate_cycles(graph_101_2, 6):
-        seq = c.edges
+    _, edge_to, dual, vert_start = cycles._edges(graph_101_2)
+    for seq in _kernel.closed_walks(6, edge_to, dual, vert_start):
         for d in (1, 2, 3):
             assert any(seq[i] != seq[(i + d) % 6] for i in range(6))
 
 
 def test_consecutive_edges_chain(graph_4643_3):
-    for c in enumerate_cycles(graph_4643_3, 3):
-        for i, e in enumerate(c.edges):
-            assert e.dst == c.edges[(i + 1) % 3].src
+    src, edge_to, dual, vert_start = cycles._edges(graph_4643_3)
+    for walk in _kernel.closed_walks(3, edge_to, dual, vert_start):
+        for i, e in enumerate(walk):
+            assert edge_to[e] == src[walk[(i + 1) % 3]]
 
 
 def test_no_backtracking_including_wraparound(graph_4643_3):
-    table = cycles._EdgeTable(graph_4643_3)
-    for c in enumerate_cycles(graph_4643_3, 3):
-        for i, e in enumerate(c.edges):
-            assert c.edges[(i + 1) % 3] != dual(e, table)
+    _, edge_to, dual, vert_start = cycles._edges(graph_4643_3)
+    for walk in _kernel.closed_walks(3, edge_to, dual, vert_start):
+        for i, e in enumerate(walk):
+            assert walk[(i + 1) % 3] != dual[e]
 
 
 def test_depth_limits(graph_101_2):
     with pytest.raises(ValueError):
-        enumerate_cycles(graph_101_2, 2)
+        census(graph_101_2, 2)
     # no upper cap: lengths above 10 enumerate like any other
-    found = enumerate_cycles(graph_101_2, 11)
-    assert found and all(len(c) == 11 for c in found)
+    _, edge_to, dual, vert_start = cycles._edges(graph_101_2)
+    found = _kernel.closed_walks(11, edge_to, dual, vert_start)
+    assert found and all(len(walk) == 11 for walk in found)
     assert census(graph_101_2, 11).n_t_graph == len(found)
 
 
-def _closed_walks_by_dfs(table: cycles._EdgeTable, r: int) -> list[tuple[int, ...]]:
+def _closed_walks_by_dfs(edges, r: int) -> list[tuple[int, ...]]:
     """Reference cycles: every closed non-backtracking walk of r edges, by plain
     DFS from every start edge, with rotations merged and periodic walks dropped."""
-    out_edges = [range(table.vert_start[v], table.vert_start[v + 1])
-                 for v in range(len(table.vert_start) - 1)]
-    src = [e.src for e in table.edges]
+    src, edge_to, dual, vert_start = edges
+    out_edges = [range(vert_start[v], vert_start[v + 1]) for v in range(len(vert_start) - 1)]
     found = set()
 
     def extend(walk):
         last = walk[-1]
         if len(walk) == r:
-            if table.edge_to[last] == src[walk[0]] and walk[0] != table.dual[last]:
+            if edge_to[last] == src[walk[0]] and walk[0] != dual[last]:
                 rotations = {walk[i:] + walk[:i] for i in range(r)}
                 if len(rotations) == r:
                     found.add(min(rotations))
             return
-        for f in out_edges[table.edge_to[last]]:
-            if f != table.dual[last]:
+        for f in out_edges[edge_to[last]]:
+            if f != dual[last]:
                 extend(walk + (f,))
 
-    for e in range(len(table.edges)):
+    for e in range(len(src)):
         extend((e,))
     return sorted(found)
 
@@ -219,7 +198,8 @@ def _closed_walks_by_dfs(table: cycles._EdgeTable, r: int) -> list[tuple[int, ..
 )
 def test_closed_walks_match_brute_force(p, ell, lengths):
     g = ssgraph.build_graph(p, ell)
-    table = cycles._EdgeTable(g)
+    edges = cycles._edges(g)
+    _, edge_to, dual, vert_start = edges
     if p < 50:
         # ell = 2 at p = 23, 47: loops, parallel edges, and both j = 0 and j = 1728
         assert {(0, 0), (1728 % p, 0)} <= set(g.vertices)
@@ -229,11 +209,11 @@ def test_closed_walks_match_brute_force(p, ell, lengths):
         # the radius-r//2 ball misses part of the graph, so the distance prune
         # cuts; vertex 0 is the start whose ball no vertex index is kept out of
         for r in lengths:
-            ball = _kernel._ball(0, r // 2, table.edge_to, table.vert_start)
+            ball = _kernel._ball(0, r // 2, edge_to, vert_start)
             assert len(ball) < g.vertex_count, (p, r)
     for r in lengths:
-        want = _closed_walks_by_dfs(table, r)
-        got = _kernel.closed_walks(r, table.edge_to, table.dual, table.vert_start)
+        want = _closed_walks_by_dfs(edges, r)
+        got = _kernel.closed_walks(r, edge_to, dual, vert_start)
         assert got == want, (p, r)
 
 
@@ -262,11 +242,38 @@ def test_even_case_histogram_support():
         g = ssgraph.build_graph(p, 2)
         cen = census(g, 6)
         assert cen.n_t_graph % 2 == 0
-        untainted_support = {
-            c.spine_count for c in enumerate_cycles(g, 6) if not c.tainted
-        }
-        assert cen.untainted_support == untainted_support, p
-        assert untainted_support <= {0, 2}, (p, untainted_support)
+        assert cen.untainted_support <= {0, 2}, (p, cen.untainted_support)
+
+
+@pytest.mark.parametrize(
+    "p, ell, r",
+    [(23, 2, 6), (43, 2, 6), (47, 2, 8), (3779, 2, 6), (4643, 3, 3)],
+    ids=["23-2-6", "43-2-6", "47-2-8", "3779-2-6", "4643-3-3"],
+)
+def test_census_matches_brute_force_cycles(p, ell, r):
+    # recount from the plain DFS reference, not from the kernel's walks
+    g = ssgraph.build_graph(p, ell)
+    edges = cycles._edges(g)
+    src = edges[0]
+    special = {(0, 0), (1728 % p, 0)}
+    histogram, tainted_present, untainted_support = {}, False, set()
+    for walk in _closed_walks_by_dfs(edges, r):
+        spine = sum(g.spine[src[e]] for e in walk)
+        histogram[spine] = histogram.get(spine, 0) + 1
+        if any(g.vertices[src[e]] in special for e in walk):
+            tainted_present = True
+        else:
+            untainted_support.add(spine)
+    cen = census(g, r)
+    assert dict(cen.spine_count_histogram) == histogram
+    assert cen.n_t_graph == sum(histogram.values())
+    assert cen.n_s_graph == cen.n_t_graph - histogram.get(0, 0)
+    assert cen.tainted_present == tainted_present
+    assert cen.untainted_support == untainted_support
+    # taint occurs at the small primes, where j = 0 or 1728 lies on r-cycles;
+    # at 43 only j = 1728 is supersingular, and the tainted cycles carry spine
+    # counts that the untainted ones do not
+    assert tainted_present == (p < 50)
 
 
 def test_even_case_halved_formula_matches_graph():
