@@ -11,8 +11,10 @@ cycles at a given prime, and assembles:
 
 Discriminants of orders where ell splits with the prime above it of order
 dividing r come from the quadratic-formula family (x^2 - 4 ell^r)/f^2 over
-0 < x < 2 ell^(r/2), x not divisible by ell; the exact-order family filters
-by the actual class-group order of the prime form.
+0 < x < 2 ell^(r/2), x not divisible by ell.  The exact-order family is that
+set minus the families of the proper divisors of r: an order that divides r
+but no proper divisor of r is r itself.  Discriminants are plain ints, and no
+step composes forms; class numbers are counted only for the n_t orbit sizes.
 """
 
 from __future__ import annotations
@@ -48,10 +50,10 @@ class DiscriminantSet:
 
     ell: int
     r: int
-    discs: tuple[Discriminant, ...]
+    discs: tuple[int, ...]
 
     def values(self) -> tuple[int, ...]:
-        return tuple(d.d for d in self.discs)
+        return self.discs
 
     def __len__(self):
         return len(self.discs)
@@ -78,13 +80,11 @@ def disc_set_dividing(ell: int, r: int) -> DiscriminantSet:
                 if d % 4 in (0, 1):
                     found.add(d)
         x += 1
-    discs = []
-    for d in sorted(found):
-        disc = Discriminant.of(d)
-        if kronecker(d, ell) != 1 or disc.conductor % ell == 0:
+    discs = tuple(sorted(found))
+    for d in discs:
+        if kronecker(d, ell) != 1 or Discriminant.of(d).conductor % ell == 0:
             raise InvariantViolation(f"{ell} is not split and ell-fundamental in {d}")
-        discs.append(disc)
-    return DiscriminantSet(ell, r, tuple(discs))
+    return DiscriminantSet(ell, r, discs)
 
 
 def _square_divisor_roots(n: int) -> list[int]:
@@ -100,22 +100,13 @@ def _square_divisor_roots(n: int) -> list[int]:
 def disc_set_exact(ell: int, r: int) -> DiscriminantSet:
     """Members of the dividing set whose prime form has order exactly r.
 
-    Each test takes at most r compositions and no class number.
+    The dividing set minus the dividing sets of the proper divisors of r:
+    no composition and no class number.
     """
-    keep = tuple(
-        d
-        for d in disc_set_dividing(ell, r)
-        if quadforms.form_order(quadforms.prime_form(d, ell), d) == r
-    )
-    return DiscriminantSet(ell, r, keep)
-
-
-def disc_set_exact_by_difference(ell: int, r: int) -> DiscriminantSet:
-    """Cross-oracle: the exact set as dividing(r) minus all proper-divisor sets."""
     drop: set[int] = set()
     for d in _divisors(r)[:-1]:
         drop.update(disc_set_dividing(ell, d).values())
-    keep = tuple(d for d in disc_set_dividing(ell, r) if d.d not in drop)
+    keep = tuple(d for d in disc_set_dividing(ell, r).values() if d not in drop)
     return DiscriminantSet(ell, r, keep)
 
 
@@ -153,7 +144,13 @@ def _odd_prime_factors(n: int) -> tuple[int, ...]:
 
 
 def _delta_unchecked(d: int, m: int) -> int:
-    """Root-count indicator as a function of the residue m (no size checks)."""
+    """1 iff p = m is inert in O_d and the class polynomial of O_d has an F_p root.
+
+    Decided purely by Kronecker symbols and congruences, so it depends only on
+    the residue m: p inert, (-p | q) = 1 at every odd prime q | d, and when
+    4 | d one of the mod-8 conditions p = 7 (8), -p + d/4 in {0, 1, 4} (8),
+    -p + d = 1 (8) must hold.  Meaningful only for p > |d|, which callers check.
+    """
     if kronecker(d, m) != -1:
         return 0
     for q in _odd_prime_factors(-d):
@@ -163,19 +160,6 @@ def _delta_unchecked(d: int, m: int) -> int:
         if m % 8 != 7 and (-m + d // 4) % 8 not in (0, 1, 4) and (-m + d) % 8 != 1:
             return 0
     return 1
-
-
-def delta_p(D, p: int) -> int:
-    """1 iff p is inert in O_D and the class polynomial of O_D has an F_p root.
-
-    Decided purely by Kronecker symbols and congruences: p inert, (-p | q) = 1
-    at every odd prime q | D, and when 4 | D one of the mod-8 conditions
-    p = 7 (8), -p + D/4 in {0, 1, 4} (8), -p + D = 1 (8) must hold.
-    """
-    d = D.d if isinstance(D, Discriminant) else int(D)
-    if p <= abs(d):
-        raise BoundViolation(f"p = {p} must exceed |D| = {abs(d)}")
-    return _delta_unchecked(d, p)
 
 
 @dataclass(frozen=True)
@@ -205,14 +189,14 @@ def _counts_at_residue(ell: int, r: int, m: int) -> tuple[int, int]:
     for d in _divisors(r):
         part = 0
         for disc in disc_set_dividing(ell, r // d):
-            if _delta_unchecked(disc.d, m):
-                part += quadforms.h2(disc.d)
+            if _delta_unchecked(disc, m):
+                part += quadforms.h2(disc)
         raw += moebius(d) * part
     n_s = 2 * raw if r % 2 else raw
     n_t = 0
     for disc in disc_set_exact(ell, r):
-        if kronecker(disc.d, m) == -1:
-            n_t += _orbit_count(disc.d, r)
+        if kronecker(disc, m) == -1:
+            n_t += _orbit_count(disc, r)
     return n_s, n_t
 
 

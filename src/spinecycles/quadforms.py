@@ -1,14 +1,14 @@
 """Imaginary quadratic discriminants and form class groups.
 
-Dirichlet composition with Gauss reduction, prime forms above a split prime
-ell and their class-group orders, the genus invariant mu with h2 = 2^(mu-1),
-class numbers by reduced-form enumeration, and a brute-force two-torsion
-count that serves as an independent oracle for the genus-theory value.
+Discriminants are plain ints.  The predictor takes two things from here: h2 =
+2^(mu-1) from the genus invariant mu (one factorization of |d|), and class
+numbers, which count the O(|d|) reduced forms afresh on every call.
 
-Costs differ: a prime-form order dividing r takes at most r compositions and
-h2 one factorization of |D|, but a class number enumerates O(|D|) forms, so
-callers ask for it only where they use it.  Exact integer arithmetic on small
-inputs (|D| up to ~10^6): reduction after every composition, no NUCOMP.
+Composition with Gauss reduction, prime forms above a split prime ell, their
+class-group orders and a brute-force two-torsion count are the test oracles:
+the independent reference that the predictor's set differences and genus
+theory are checked against.  Exact integer arithmetic on small inputs (|d| up
+to ~10^6): reduction after every composition, no NUCOMP.
 """
 
 from __future__ import annotations
@@ -64,13 +64,6 @@ class Discriminant:
             raise InvariantViolation(f"{d} != {f}^2 * {d_k}")
         return cls(d, d_k, f)
 
-    def __int__(self):
-        return self.d
-
-
-def _disc_value(D) -> int:
-    return D.d if isinstance(D, Discriminant) else int(D)
-
 
 @dataclass(frozen=True, order=True)
 class BinaryQuadraticForm:
@@ -117,14 +110,13 @@ def reduce_form(f: BinaryQuadraticForm) -> BinaryQuadraticForm:
     return BinaryQuadraticForm(a, b, c)
 
 
-def principal_form(D) -> BinaryQuadraticForm:
-    d = _disc_value(D)
+def principal_form(d: int) -> BinaryQuadraticForm:
     k = d & 1
     return BinaryQuadraticForm(1, k, (k * k - d) // 4)
 
 
-@lru_cache(maxsize=None)
-def _reduced_forms_cached(d: int) -> tuple[BinaryQuadraticForm, ...]:
+def reduced_forms(d: int) -> list[BinaryQuadraticForm]:
+    """All reduced primitive positive-definite forms of discriminant d, sorted."""
     Discriminant.of(d)  # validate
     out = []
     amax = math.isqrt(-d // 3)
@@ -140,16 +132,11 @@ def _reduced_forms_cached(d: int) -> tuple[BinaryQuadraticForm, ...]:
                 continue
             if math.gcd(math.gcd(a, b), c) == 1:
                 out.append(BinaryQuadraticForm(a, b, c))
-    return tuple(sorted(out))
+    return sorted(out)
 
 
-def reduced_forms(D) -> list[BinaryQuadraticForm]:
-    """All reduced primitive positive-definite forms of discriminant D."""
-    return list(_reduced_forms_cached(_disc_value(D)))
-
-
-def class_number(D) -> int:
-    return len(_reduced_forms_cached(_disc_value(D)))
+def class_number(d: int) -> int:
+    return len(reduced_forms(d))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -170,9 +157,8 @@ def _solve_linear(a: int, b: int, m: int) -> tuple[int, int]:
     return (inv * (b // g)) % period, period
 
 
-def compose(f: BinaryQuadraticForm, g: BinaryQuadraticForm, D) -> BinaryQuadraticForm:
-    """Reduced Dirichlet composition of two primitive forms of discriminant D."""
-    d = _disc_value(D)
+def compose(f: BinaryQuadraticForm, g: BinaryQuadraticForm, d: int) -> BinaryQuadraticForm:
+    """Reduced Dirichlet composition of two primitive forms of discriminant d."""
     if f.discriminant() != d or g.discriminant() != d:
         raise ValueError("forms must share the given discriminant")
     a1, b1, c1 = f.a, f.b, f.c
@@ -195,23 +181,22 @@ def compose(f: BinaryQuadraticForm, g: BinaryQuadraticForm, D) -> BinaryQuadrati
     return reduce_form(BinaryQuadraticForm(a3, b3, c3))
 
 
-def form_order(f: BinaryQuadraticForm, D) -> int:
+def form_order(f: BinaryQuadraticForm, d: int) -> int:
     """Least k >= 1 with f^k principal."""
-    ident = principal_form(D)
+    ident = principal_form(d)
     acc = f.reduced()
     k = 1
-    cap = 4 * abs(_disc_value(D)) + 16  # far above any class number at this scale
+    cap = 4 * abs(d) + 16  # far above any class number at this scale
     while acc != ident:
-        acc = compose(acc, f, D)
+        acc = compose(acc, f, d)
         k += 1
         if k > cap:
-            raise InvariantViolation(f"order of {f} in discriminant {_disc_value(D)} exceeds {cap}")
+            raise InvariantViolation(f"order of {f} in discriminant {d} exceeds {cap}")
     return k
 
 
-def genus_mu(D) -> int:
-    """The genus invariant: cl(O_D) has exactly 2^(mu-1) elements of order <= 2."""
-    d = _disc_value(D)
+def genus_mu(d: int) -> int:
+    """The genus invariant: cl(O_d) has exactly 2^(mu-1) elements of order <= 2."""
     Discriminant.of(d)
     r = sum(1 for q, _ in factorize(-d) if q % 2)
     if d % 4 == 1:
@@ -227,22 +212,20 @@ def genus_mu(D) -> int:
 
 
 @lru_cache(maxsize=None)
-def h2(D) -> int:
-    """Size of the two-torsion subgroup cl(O_D)[2], from genus theory."""
-    return 1 << (genus_mu(D) - 1)
+def h2(d: int) -> int:
+    """Size of the two-torsion subgroup cl(O_d)[2], from genus theory."""
+    return 1 << (genus_mu(d) - 1)
 
 
-def two_torsion_bruteforce(D) -> int:
+def two_torsion_bruteforce(d: int) -> int:
     """Independent oracle for h2: count classes squaring to the principal one."""
-    ident = principal_form(D)
-    return sum(1 for f in reduced_forms(D) if compose(f, f, D) == ident)
+    ident = principal_form(d)
+    return sum(1 for f in reduced_forms(d) if compose(f, f, d) == ident)
 
 
-def prime_form(D, ell: int) -> BinaryQuadraticForm:
+def prime_form(d: int, ell: int) -> BinaryQuadraticForm:
     """The reduced class of a form (ell, b, c) above a split prime ell."""
-    d = _disc_value(D)
-    disc = Discriminant.of(d) if not isinstance(D, Discriminant) else D
-    if disc.conductor % ell == 0:
+    if Discriminant.of(d).conductor % ell == 0:
         raise NotEllFundamental(f"{ell} divides the conductor of {d}")
     if kronecker(d, ell) != 1:
         raise NotSplit(f"{ell} does not split in discriminant {d}")

@@ -29,7 +29,7 @@ from functools import lru_cache
 from importlib import resources
 
 from . import _kernel
-from .arith import PrimeContext, kronecker
+from .arith import PrimeContext, is_prime, kronecker
 
 BUILTIN_LEVELS = (2, 3, 5, 7)
 
@@ -184,6 +184,8 @@ class IsogenyGraph:
 
 def build_graph(p: int, ell: int, seed: int = 0, phi: ModularPolynomialData | None = None) -> IsogenyGraph:
     """Breadth-first closure of the ell-isogeny adjacency from a spine seed."""
+    if not is_prime(ell):
+        raise ValueError(f"{ell} is not prime")
     if p == ell:
         raise ValueError("p and ell must be distinct primes")
     if p <= 13:

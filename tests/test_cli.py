@@ -75,6 +75,15 @@ def test_graph_rejects_phi_of_another_level(capsys, tmp_path):
     assert out == "" and "level 2, expected 3" in err
 
 
+def test_graph_rejects_phi_of_composite_level(capsys, tmp_path):
+    # a table of degree 5 reads as level 4, which no isogeny graph has
+    path = tmp_path / "phi4.txt"
+    path.write_text("5 0 1\n4 4 -1\n")
+    code, out, err = run(capsys, "graph", "101", "4", "--phi", str(path))
+    assert code == 2
+    assert out == "" and err == "error: 4 is not prime\n"
+
+
 def test_validate_rejects_phi_of_another_level(capsys, tmp_path):
     # a level-2 table must not stand in for Phi_3: that would compare the
     # (3, 3) formula with a 2-isogeny graph and report a false violation
@@ -358,15 +367,15 @@ def test_asymmetric_adjacency_is_internal_error(capsys, monkeypatch):
     assert err.startswith("internal error:") and "not symmetric at p = 179" in err
 
 
-def test_composition_failure_is_internal_error(capsys, monkeypatch):
-    # a composition that returns its first argument never reaches the identity
-    monkeypatch.setattr(quadforms, "compose", lambda f, g, D: f)
-    predictor.disc_set_exact.cache_clear()
-    code, out, err = run(capsys, "discs", "3", "3", "--exact")
-    predictor.disc_set_exact.cache_clear()
+def test_formula_invariant_is_internal_error(capsys, monkeypatch):
+    # h(-104) = 6; a class number of 4 breaks the divisibility by r = 3
+    monkeypatch.setattr(quadforms, "class_number", lambda d: 4)
+    predictor._orbit_count.cache_clear()
+    code, out, err = run(capsys, "predict", "3", "3", "4643")
+    predictor._orbit_count.cache_clear()
     assert code == 3
     assert out == ""
-    assert err.startswith("internal error:") and "discriminant" in err
+    assert err.startswith("internal error: h(-104) = 4 ")
 
 
 def test_usage_error_exit_2(capsys):

@@ -303,9 +303,9 @@ def test_bijection_totals_match_class_numbers():
 
     for p in (2789, 2791, 4643):
         total = sum(
-            2 * class_number(d.d) // 3
+            2 * class_number(d) // 3
             for d in predictor.disc_set_exact(3, 3)
-            if kronecker(d.d, p) == -1
+            if kronecker(d, p) == -1
         )
         g = ssgraph.build_graph(p, 3)
         assert census(g, 3).n_t_graph == total

@@ -10,7 +10,14 @@ from spinecycles import cli, quadforms
 from spinecycles import predictor as pr
 from spinecycles.arith import kronecker, moebius, primes_in
 from spinecycles.predictor import BoundViolation
-from spinecycles.quadforms import InvariantViolation, class_number, form_order, h2, prime_form
+from spinecycles.quadforms import (
+    Discriminant,
+    InvariantViolation,
+    class_number,
+    form_order,
+    h2,
+    prime_form,
+)
 
 DIVIDING_3_3 = (-107, -104, -92, -83, -59, -44, -23, -11, -8)
 EXACT_3_3 = (-107, -104, -92, -83, -59, -44, -23)
@@ -37,13 +44,20 @@ def test_exact_order_really_is_r():
         assert form_order(prime_form(d, 2), d) == 6
 
 
-@pytest.mark.parametrize("ell", (2, 3, 5))
-@pytest.mark.parametrize("r", range(1, 9))
+@pytest.mark.parametrize(
+    "r,ell",
+    [(r, ell) for r in range(1, 9) for ell in (2, 3, 5)]
+    + [(r, 7) for r in range(1, 7)]
+    + [(10, 2)],  # with (3, 3) and (7, 5) above: every benchmark family
+)
 def test_exact_filter_agrees_with_set_difference(ell, r):
-    assert (
-        pr.disc_set_exact(ell, r).values()
-        == pr.disc_set_exact_by_difference(ell, r).values()
+    # the reference filter composes forms; disc_set_exact takes a set difference
+    by_order = tuple(
+        d
+        for d in pr.disc_set_dividing(ell, r).values()
+        if form_order(prime_form(d, ell), d) == r
     )
+    assert pr.disc_set_exact(ell, r).values() == by_order
 
 
 @pytest.mark.parametrize("ell", (2, 3, 5))
@@ -56,8 +70,8 @@ def test_moebius_consistency(ell, r):
 def test_dividing_set_members_are_split_and_fundamental():
     for ell, r in [(2, 6), (3, 3), (5, 2), (7, 2)]:
         for d in pr.disc_set_dividing(ell, r):
-            assert kronecker(d.d, ell) == 1
-            assert d.conductor % ell != 0
+            assert kronecker(d, ell) == 1
+            assert Discriminant.of(d).conductor % ell != 0
             order = form_order(prime_form(d, ell), d)
             assert r % order == 0
             h = class_number(d)
@@ -66,10 +80,10 @@ def test_dividing_set_members_are_split_and_fundamental():
 
 def test_exact_sets_and_bounds_need_no_class_numbers(monkeypatch, capsys):
     def refuse(*_):
-        raise AssertionError("class number computed")
+        raise AssertionError("class group computation")
 
-    monkeypatch.setattr(quadforms, "_reduced_forms_cached", refuse)
-    monkeypatch.setattr(quadforms, "class_number", refuse)
+    for name in ("class_number", "reduced_forms", "form_order", "compose", "prime_form"):
+        monkeypatch.setattr(quadforms, name, refuse)
     for cached in (pr.disc_set_dividing, pr.disc_set_exact, pr.kaneko_bound):
         cached.cache_clear()
     assert len(pr.disc_set_exact(5, 7)) > 0
@@ -122,27 +136,20 @@ def test_kaneko_operative_dominates_discriminants():
 
 
 def test_delta_p_worked_prime():
-    assert pr.delta_p(-23, 4643) == 1
-    assert pr.delta_p(-104, 4643) == 0
-    assert pr.delta_p(-92, 4643) == 1
+    assert pr._delta_unchecked(-23, 4643) == 1
+    assert pr._delta_unchecked(-104, 4643) == 0
+    assert pr._delta_unchecked(-92, 4643) == 1
 
 
 def test_delta_p_split_prime_is_zero():
     # kronecker(-59, 4643) = +1: p splits, no contribution
-    assert pr.delta_p(-59, 4643) == 0
-
-
-def test_delta_p_bound_violation():
-    with pytest.raises(BoundViolation):
-        pr.delta_p(-104, 103)
-    with pytest.raises(BoundViolation):
-        pr.delta_p(-104, 104)
+    assert pr._delta_unchecked(-59, 4643) == 0
 
 
 def test_delta_p_mod8_branch():
     # -104: odd-prime condition is (-p | 13) = 1; then one mod-8 escape needed
     for p in primes_in(105, 4000):
-        got = pr.delta_p(-104, p)
+        got = pr._delta_unchecked(-104, p)
         inert = kronecker(-104, p) == -1
         odd_ok = kronecker(-p, 13) == 1
         mod8 = p % 8 == 7 or (-p - 26) % 8 in (0, 1, 4) or (-p - 104) % 8 == 1
@@ -206,7 +213,7 @@ def test_ns_moebius_form_collapses_to_exact_sum():
             if p == ell:
                 continue
             sp = pr.predict(ell, r, p)
-            collapsed = sum(pr._delta_unchecked(d.d, p) * h2(d) for d in exact)
+            collapsed = sum(pr._delta_unchecked(d, p) * h2(d) for d in exact)
             scale = 2 if r % 2 else 1
             assert sp.n_s == scale * collapsed, (ell, r, p)
 
