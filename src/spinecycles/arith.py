@@ -1,25 +1,28 @@
 """Exact integer arithmetic.
 
-Kronecker symbols, the Moebius function, trial-division factorization, a
-deterministic primality test for word-sized integers, a prime sieve, and the
-basis {1, w} of F_{p^2} with w^2 = s for the least quadratic nonresidue s of
-F_p.  That basis choice makes "defined over F_p" a trivial b == 0 test on an
+Kronecker symbols, trial-division factorization, a deterministic primality
+test for integers below 2^64, a prime sieve, and the least quadratic
+nonresidue s of F_p, which fixes the basis {1, w} of F_{p^2} with w^2 = s.
+That basis choice makes "defined over F_p" a trivial b == 0 test on an
 element a + b*w, stored as the pair (a, b), and gives every prime a canonical
 representation.  Arithmetic on those pairs lives in the root-finding kernel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-MAX_PRIME = 1 << 63  # products of residues must fit in double-width integers
-
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all n < 2^64."""
+    """Deterministic Miller-Rabin for n < 2^64; larger n raise ValueError.
+
+    Beyond 2^64 the twelve witnesses no longer decide primality: strong
+    pseudoprimes to all of them exist, e.g. 399165290221 * 798330580441.
+    """
+    if n >= 1 << 64:
+        raise ValueError(f"{n} is too large for the primality test (limit 2^64)")
     if n < 2:
         return False
     for q in _MR_WITNESSES:
@@ -100,17 +103,6 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def moebius(n: int) -> int:
-    if n < 1:
-        raise ValueError("n must be positive")
-    result = 1
-    for _, e in factorize(n):
-        if e > 1:
-            return 0
-        result = -result
-    return result
-
-
 def primes_in(lo: int, hi: int) -> list[int]:
     """Primes p with lo <= p <= hi, by sieve (hi capped at 10^8)."""
     if hi > 10**8:
@@ -131,19 +123,3 @@ def least_nonresidue(p: int) -> int:
     while kronecker(n, p) != -1:
         n += 1
     return n
-
-
-@dataclass(frozen=True)
-class PrimeContext:
-    """An odd prime p together with the basis {1, sqrt(nonresidue)} of F_{p^2}."""
-
-    p: int
-    nonresidue: int
-
-    def __init__(self, p: int):
-        if p in (2, 3) or not is_prime(p):
-            raise ValueError(f"{p} is not an admissible prime")
-        if p >= MAX_PRIME:
-            raise ValueError("prime too large for the fixed-width kernel contract")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "nonresidue", least_nonresidue(p))

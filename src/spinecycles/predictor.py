@@ -13,8 +13,12 @@ Discriminants of orders where ell splits with the prime above it of order
 dividing r come from the quadratic-formula family (x^2 - 4 ell^r)/f^2 over
 0 < x < 2 ell^(r/2), x not divisible by ell.  The exact-order family is that
 set minus the families of the proper divisors of r: an order that divides r
-but no proper divisor of r is r itself.  Discriminants are plain ints, and no
-step composes forms; class numbers are counted only for the n_t orbit sizes.
+but no proper divisor of r is r itself.  The paper writes n_s and its limit
+as Moebius inversions over the dividing families; the dividing family for k
+is the disjoint union of the exact families of the divisors of k, so those
+inversions are plain sums over the exact family for r, and that is how they
+are computed here.  Discriminants are plain ints, and no step composes
+forms; class numbers are counted only for the n_t orbit sizes.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from . import quadforms
-from .arith import is_prime, kronecker, moebius, factorize
+from .arith import is_prime, kronecker, factorize
 from .quadforms import Discriminant, InvariantViolation
 
 
@@ -101,12 +105,17 @@ def disc_set_exact(ell: int, r: int) -> DiscriminantSet:
     """Members of the dividing set whose prime form has order exactly r.
 
     The dividing set minus the dividing sets of the proper divisors of r:
-    no composition and no class number.
+    no composition and no class number.  The families must nest, or the
+    sums over the exact family would not equal the paper's Moebius forms.
     """
+    full = disc_set_dividing(ell, r).values()
     drop: set[int] = set()
     for d in _divisors(r)[:-1]:
         drop.update(disc_set_dividing(ell, d).values())
-    keep = tuple(d for d in disc_set_dividing(ell, r).values() if d not in drop)
+    if not drop.issubset(full):
+        outside = sorted(drop.difference(full))
+        raise InvariantViolation(f"dividing families do not nest at ell = {ell}, r = {r}: {outside}")
+    keep = tuple(d for d in full if d not in drop)
     return DiscriminantSet(ell, r, keep)
 
 
@@ -185,19 +194,12 @@ def _orbit_count(d: int, r: int) -> int:
 
 
 def _counts_at_residue(ell: int, r: int, m: int) -> tuple[int, int]:
-    raw = 0
-    for d in _divisors(r):
-        part = 0
-        for disc in disc_set_dividing(ell, r // d):
-            if _delta_unchecked(disc, m):
-                part += quadforms.h2(disc)
-        raw += moebius(d) * part
-    n_s = 2 * raw if r % 2 else raw
-    n_t = 0
-    for disc in disc_set_exact(ell, r):
-        if kronecker(disc, m) == -1:
-            n_t += _orbit_count(disc, r)
-    return n_s, n_t
+    n_s = n_t = 0
+    for d in disc_set_exact(ell, r):
+        if kronecker(d, m) == -1:
+            n_s += _delta_unchecked(d, m) * quadforms.h2(d)
+            n_t += _orbit_count(d, r)
+    return (2 * n_s if r % 2 else n_s), n_t
 
 
 def predict(ell: int, r: int, p: int) -> SpinePrediction:
@@ -251,14 +253,9 @@ def residue_census(ell: int, r: int) -> ResidueCensus:
 
 
 def average_limit(ell: int, r: int) -> Fraction:
-    """Limiting average of n_s over increasing consecutive primes."""
-    total = sum(moebius(d) * len(disc_set_dividing(ell, r // d)) for d in _divisors(r))
-    value = Fraction(total)
-    if r % 2 == 0:
-        value /= 2
-    if is_prime(r):
-        # prime-r corollary: the limit collapses to the exact-order set size
-        expected = len(disc_set_exact(ell, r)) * (Fraction(1, 2) if r % 2 == 0 else 1)
-        if value != expected:
-            raise InvariantViolation(f"average limit {value} != exact-set size {expected} at prime r")
-    return value
+    """Limiting average of n_s over increasing consecutive primes.
+
+    The exact family's size, halved for even r.
+    """
+    value = Fraction(len(disc_set_exact(ell, r)))
+    return value / 2 if r % 2 == 0 else value

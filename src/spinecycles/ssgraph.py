@@ -6,19 +6,20 @@ graph is grown by breadth-first closure from one supersingular j-invariant in
 F_p (the graph is connected): 1728 or 0 when p = 3 mod 4 or p = 2 mod 3,
 else the CM j-invariant of a class-number-one discriminant inert at p, with
 a scan by trace only when all seven such discriminants split.  Vertices are
-the pairs (a, b) standing for a + b*w in the basis of
-``arith.PrimeContext``, sorted canonically, and the spine is flagged as the
-b == 0 locus.  Off the spine the kernel finds roots at one vertex of each
-Frobenius pair (a, b), (a, -b) and the other row is its conjugate.  Phi_ell
-is symmetric, so every built vertex whose row lists v is a root at v: the
-kernel is handed those and divides them out before it searches.  The
-vertex-count identity floor((p-1)/12) + eps is enforced as a hard
-postcondition so that any arithmetic defect fails loudly instead of
+the pairs (a, b) standing for a + b*w, where w^2 is the least quadratic
+nonresidue mod p (``arith.least_nonresidue``), sorted canonically, and the
+spine is flagged as the b == 0 locus.  Off the spine the kernel finds roots
+at one vertex of each Frobenius pair (a, b), (a, -b) and the other row is
+its conjugate.  Phi_ell is symmetric, so every built vertex whose row lists
+v is a root at v: the kernel is handed those and divides them out before it
+searches.  The vertex-count identity floor((p-1)/12) + eps is enforced as a
+hard postcondition so that any arithmetic defect fails loudly instead of
 corrupting a census.
 
 Built-in coefficient tables cover ell in {2, 3, 5, 7}; the same text format
 ("i j coefficient" per line, '#' comments, symmetric completion implied) can
-be loaded from a file for other levels.
+be loaded from a file for other levels; a coefficient given twice with
+different values, directly or through its mirror, is rejected.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from functools import lru_cache
 from importlib import resources
 
 from . import _kernel
-from .arith import PrimeContext, is_prime, kronecker
+from .arith import is_prime, kronecker, least_nonresidue
 
 BUILTIN_LEVELS = (2, 3, 5, 7)
 
@@ -94,8 +95,11 @@ class ModularPolynomialData:
                 continue
             i, k, c = line.split()
             i, k, c = int(i), int(k), int(c)
-            table[(i, k)] = c
-            table[(k, i)] = c
+            for key in ((i, k), (k, i)):
+                if table.setdefault(key, c) != c:
+                    raise ValueError(
+                        f"coefficient of X^{key[0]} Y^{key[1]} given twice with different values"
+                    )
             deg = max(deg, i, k)
         return cls(deg - 1, table)
 
@@ -103,9 +107,6 @@ class ModularPolynomialData:
     def from_file(cls, path) -> "ModularPolynomialData":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_text(fh.read())
-
-    def coefficient(self, i: int, k: int) -> int:
-        return self.table.get((i, k), 0)
 
     def reduced_rows(self, p: int) -> list[list[int]]:
         """(ell+2) x (ell+2) coefficient matrix with entries reduced mod p."""
@@ -175,12 +176,6 @@ class IsogenyGraph:
     def spine_size(self) -> int:
         return sum(self.spine)
 
-    def multiplicity(self, u: int, v: int) -> int:
-        for w, m in self.out_edges[u]:
-            if w == v:
-                return m
-        return 0
-
 
 def build_graph(p: int, ell: int, seed: int = 0, phi: ModularPolynomialData | None = None) -> IsogenyGraph:
     """Breadth-first closure of the ell-isogeny adjacency from a spine seed."""
@@ -190,13 +185,14 @@ def build_graph(p: int, ell: int, seed: int = 0, phi: ModularPolynomialData | No
         raise ValueError("p and ell must be distinct primes")
     if p <= 13:
         raise ValueError("p must exceed 13")
-    ctx = PrimeContext(p)
+    if not is_prime(p):
+        raise ValueError(f"{p} is not an admissible prime")
     data = phi if phi is not None else ModularPolynomialData.load(ell)
     if data.ell != ell:
         raise ValueError(f"modular polynomial table has level {data.ell}, expected {ell}")
     if ell + 1 > _kernel.MAX_POLY_DEGREE:
         raise ValueError(f"level {ell} exceeds kernel degree capacity")
-    phimod = _kernel.PhiMod(p, ctx.nonresidue, ell, data.reduced_rows(p))
+    phimod = _kernel.PhiMod(p, least_nonresidue(p), ell, data.reduced_rows(p))
 
     j0 = (find_supersingular_j(p), 0)
     adjacency: dict[tuple[int, int], tuple[tuple[tuple[int, int], int], ...]] = {}

@@ -48,10 +48,11 @@ def test_criterion_01_discriminant_enumeration():
 
 
 def test_criterion_02_average_limit():
-    via_moebius = predictor.average_limit(3, 3)
-    via_prime_r = len(predictor.disc_set_exact(3, 3))
-    ok = via_moebius == 7 and via_prime_r == 7
-    _verdict(2, ok, f"average limit (3,3): moebius={via_moebius}, prime-r corollary={via_prime_r}")
+    # the paper's Moebius form over the dividing families, mu(1) = 1, mu(3) = -1
+    via_moebius = len(predictor.disc_set_dividing(3, 3)) - len(predictor.disc_set_dividing(3, 1))
+    limit = predictor.average_limit(3, 3)
+    ok = limit == via_moebius == 7
+    _verdict(2, ok, f"average limit (3,3): {limit}, moebius form={via_moebius}")
 
 
 def test_criterion_03_kaneko_bounds():

@@ -4,14 +4,8 @@ from hypothesis import strategies as st
 
 from spinecycles import _kernel
 from spinecycles._kernel import _f2_mul, _p_mul
-from spinecycles.arith import (
-    PrimeContext,
-    factorize,
-    is_prime,
-    kronecker,
-    moebius,
-    primes_in,
-)
+from spinecycles.arith import factorize, is_prime, kronecker, least_nonresidue, primes_in
+from spinecycles.ssgraph import build_graph
 
 
 # ---------------------------------------------------------------- kronecker --
@@ -67,25 +61,7 @@ def test_kronecker_square_is_one_at_odd_primes():
                 assert kronecker(a * a, q) == 1
 
 
-# ------------------------------------------------------- moebius, factorize --
-
-
-def _moebius_bruteforce(n):
-    fac = factorize(n)
-    if any(e > 1 for _, e in fac):
-        return 0
-    return (-1) ** len(fac)
-
-
-def test_moebius_examples():
-    assert moebius(1) == 1
-    assert moebius(3) == -1
-    assert moebius(4) == 0
-
-
-def test_moebius_against_bruteforce():
-    for n in range(1, 10001):
-        assert moebius(n) == _moebius_bruteforce(n)
+# ----------------------------------------------------- factorize, is_prime --
 
 
 def test_factorize_examples():
@@ -111,84 +87,91 @@ def test_is_prime_against_sieve():
         assert is_prime(n) == (n in marked)
 
 
+# strong pseudoprime to all twelve Miller-Rabin witnesses: 399165290221 * 798330580441
+PSEUDOPRIME_BEYOND_2_64 = 318665857834031151167461
+
+
 def test_is_prime_large_words():
     assert is_prime(2**61 - 1)
     assert not is_prime(2**61 + 1)
+    assert is_prime(2**64 - 59)  # the largest prime below 2^64
+    with pytest.raises(ValueError):
+        is_prime(2**64)
+    assert PSEUDOPRIME_BEYOND_2_64 == 399165290221 * 798330580441
+    with pytest.raises(ValueError):
+        is_prime(PSEUDOPRIME_BEYOND_2_64)
 
 
-# ------------------------------------------------------------- PrimeContext --
+# ---------------------------------------------------- the F_{p^2} basis --
 
 
 def test_prime_context_nonresidue_minimal():
     for p in primes_in(5, 500):
-        ctx = PrimeContext(p)
-        assert kronecker(ctx.nonresidue, p) == -1
-        for n in range(1, ctx.nonresidue):
+        s = least_nonresidue(p)
+        assert kronecker(s, p) == -1
+        for n in range(1, s):
             assert kronecker(n, p) != -1
 
 
 def test_prime_context_rejects_bad_input():
+    # a graph is built only at a prime p > 13
     with pytest.raises(ValueError):
-        PrimeContext(91)  # 7 * 13
+        build_graph(91, 2)  # 7 * 13
     with pytest.raises(ValueError):
-        PrimeContext(2)
+        build_graph(2, 3)
 
 
 # ------------------------------------------------------ roots in F_{p^2} --
-# The kernel's root finder, on (a, b) pairs in the PrimeContext basis.
+# The kernel's root finder, on (a, b) pairs for a + b*w with w^2 = least_nonresidue(p).
 
 
-def _roots(coeffs, ctx, seed=0):
-    return _kernel.poly_roots(ctx.p, ctx.nonresidue, coeffs, seed)
+def _roots(coeffs, p, seed=0):
+    return _kernel.poly_roots(p, least_nonresidue(p), coeffs, seed)
 
 
-def _from_roots(roots, ctx):
+def _from_roots(roots, p):
     """The monic polynomial with the given roots, as (a, b) coefficient pairs."""
-    p = ctx.p
     poly = [(1, 0)]
     for a, b in roots:
-        poly = _p_mul(poly, [(-a % p, -b % p), (1, 0)], p, ctx.nonresidue)
+        poly = _p_mul(poly, [(-a % p, -b % p), (1, 0)], p, least_nonresidue(p))
     return poly
 
 
 def test_f2_roots_quadratic_units():
-    ctx = PrimeContext(4643)
-    assert _roots([(-1, 0), (0, 0), (1, 0)], ctx) == [(1, 0), (4642, 0)]
+    assert _roots([(-1, 0), (0, 0), (1, 0)], 4643) == [(1, 0), (4642, 0)]
 
 
 def test_f2_roots_constructed_multiplicity():
-    ctx = PrimeContext(4643)
     c, e = (12, 7), (90, 0)
-    assert _roots(_from_roots([c, c, e], ctx), ctx) == sorted([c, c, e])
+    assert _roots(_from_roots([c, c, e], 4643), 4643) == sorted([c, c, e])
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_f2_roots_recovers_random_multisets(data):
-    ctx = PrimeContext(1019)
     deg = data.draw(st.integers(1, 8))
     roots = sorted(
         (data.draw(st.integers(0, 1018)), data.draw(st.integers(0, 1018)))
         for _ in range(deg)
     )
     seed = data.draw(st.integers(0, 2**32))
-    assert _roots(_from_roots(roots, ctx), ctx, seed=seed) == roots
+    assert _roots(_from_roots(roots, 1019), 1019, seed=seed) == roots
 
 
 def test_f2_roots_nonsplit_returns_none():
-    ctx = PrimeContext(101)
-    p, s = ctx.p, ctx.nonresidue
+    p = 101
+    s = least_nonresidue(p)
     # Y^2 - z for z a nonsquare of F_{p^2}: its roots live in F_{p^4}
-    z = _nonsquare_fp2(ctx)
+    z = _nonsquare_fp2(p)
     y2_minus_z = [(-z[0] % p, -z[1] % p), (0, 0), (1, 0)]
-    assert _roots(y2_minus_z, ctx) is None
+    assert _roots(y2_minus_z, p) is None
     # and buried inside a product with a linear factor
-    assert _roots(_p_mul(y2_minus_z, [(p - 3, 0), (1, 0)], p, s), ctx) is None
+    assert _roots(_p_mul(y2_minus_z, [(p - 3, 0), (1, 0)], p, s), p) is None
 
 
-def _nonsquare_fp2(ctx):
+def _nonsquare_fp2(p):
     # z^((p^2-1)/2) = N(z)^((p-1)/2): z is a square in F_{p^2} iff its norm is a square in F_p
-    p, s = ctx.p, ctx.nonresidue
+    s = least_nonresidue(p)
     for a in range(1, p):
         for b in range(1, p):
             if kronecker(a * a - s * b * b, p) == -1:
@@ -197,16 +180,14 @@ def _nonsquare_fp2(ctx):
 
 
 def test_f2_roots_degree_cap():
-    ctx = PrimeContext(101)
     with pytest.raises(ValueError):
-        _roots([(1, 0)] * (_kernel.MAX_POLY_DEGREE + 2), ctx)
+        _roots([(1, 0)] * (_kernel.MAX_POLY_DEGREE + 2), 101)
 
 
 def test_f2_roots_seed_independence():
     # output is sorted, so every seed gives the same answer
-    ctx = PrimeContext(4643)
-    poly = _from_roots([(4, 1), (9, 0), (4, 1), (7, 3)], ctx)
-    results = {tuple(_roots(poly, ctx, seed=s)) for s in range(8)}
+    poly = _from_roots([(4, 1), (9, 0), (4, 1), (7, 3)], 4643)
+    results = {tuple(_roots(poly, 4643, seed=s)) for s in range(8)}
     assert len(results) == 1
 
 
@@ -214,19 +195,19 @@ def test_f2_roots_of_phi3_at_1728_supersingular(graph_4643_3):
     # the four 3-isogeny neighbors of j = 1728 at p = 4643 are graph vertices
     from spinecycles import ssgraph
 
-    ctx = PrimeContext(4643)
+    p = 4643
     data = ssgraph.ModularPolynomialData.load(3)
     coeffs = [
-        (sum(data.coefficient(i, k) * 1728**i for i in range(5)) % ctx.p, 0)
+        (sum(data.table.get((i, k), 0) * 1728**i for i in range(5)) % p, 0)
         for k in range(5)
     ]
-    roots = _roots(coeffs, ctx)
+    roots = _roots(coeffs, p)
     assert len(roots) == 4
     vertex_set = set(graph_4643_3.vertices)
     for a, b in roots:
         assert (a, b) in vertex_set
         if b == 0:
-            assert ssgraph.is_supersingular(a, ctx.p)
+            assert ssgraph.is_supersingular(a, p)
 
 
 def test_pure_root_finder_takes_one_pth_power(monkeypatch):
@@ -240,11 +221,11 @@ def test_pure_root_finder_takes_one_pth_power(monkeypatch):
         return real(base, e, *args)
 
     monkeypatch.setattr(_kernel, "_p_powmod", counted)
-    ctx = PrimeContext(4643)
+    p = 4643
     roots = sorted([(4, 1), (9, 0), (4, 1), (7, 3), (4642, 17), (0, 5)])
-    assert _kernel.poly_roots(ctx.p, ctx.nonresidue, _from_roots(roots, ctx), 3) == roots
-    assert exponents.count(ctx.p) == 1
-    assert exponents.count((ctx.p - 1) // 2) == len(exponents) - 1 >= 4
+    assert _kernel.poly_roots(p, least_nonresidue(p), _from_roots(roots, p), 3) == roots
+    assert exponents.count(p) == 1
+    assert exponents.count((p - 1) // 2) == len(exponents) - 1 >= 4
 
 
 def _value(poly, x, p, s):
@@ -275,11 +256,10 @@ def _roots_by_evaluation(poly, p, s):
 @given(st.data())
 def test_f2_roots_match_exhaustive_evaluation(data):
     p = data.draw(st.sampled_from((101, 103)))
-    ctx = PrimeContext(p)
-    s = ctx.nonresidue
+    s = least_nonresidue(p)
     element = st.tuples(st.integers(0, p - 1), st.integers(0, p - 1))
     roots = data.draw(st.lists(element, max_size=6))
-    poly = _from_roots(roots, ctx)
+    poly = _from_roots(roots, p)
     # roots already known are divided out, and only the quotient is searched
     known = data.draw(st.lists(st.sampled_from(roots), unique=True)) if roots else []
     with_quadratic = data.draw(st.booleans())
@@ -287,7 +267,7 @@ def test_f2_roots_match_exhaustive_evaluation(data):
         # Y^2 + bY + (b^2 - z)/4 has discriminant z, a nonsquare of F_{p^2}
         b = data.draw(element)
         t = data.draw(element.filter(lambda t: t != (0, 0)))
-        z = _f2_mul(_f2_mul(_nonsquare_fp2(ctx), t, p, s), t, p, s)
+        z = _f2_mul(_f2_mul(_nonsquare_fp2(p), t, p, s), t, p, s)
         bb = _f2_mul(b, b, p, s)
         c = ((bb[0] - z[0]) * pow(4, -1, p) % p, (bb[1] - z[1]) * pow(4, -1, p) % p)
         poly = _p_mul(poly, [c, b, (1, 0)], p, s)

@@ -40,6 +40,14 @@ def test_predict_output(capsys):
     assert "n_s=4" in out and "n_t=8" in out and "valid=true" in out
 
 
+def test_predict_rejects_pseudoprime_beyond_word_range(capsys):
+    # 399165290221 * 798330580441, a strong pseudoprime to every witness
+    # of the primality test, which is exact only below 2^64
+    code, out, err = run(capsys, "predict", "3", "3", "318665857834031151167461")
+    assert code == 2
+    assert out == "" and "too large for the primality test" in err
+
+
 def test_predict_experimental_flag(capsys):
     code, out, _ = run(capsys, "predict", "3", "4", "2801")
     assert code == 0
@@ -73,6 +81,15 @@ def test_graph_rejects_phi_of_another_level(capsys, tmp_path):
     code, out, err = run(capsys, "graph", "101", "3", "--phi", _write_phi2(tmp_path))
     assert code == 2
     assert out == "" and "level 2, expected 3" in err
+
+
+def test_graph_rejects_phi_with_conflicting_mirror_lines(capsys, tmp_path):
+    path = _write_phi2(tmp_path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("1 2 1489\n")  # the mirror of the line "2 1 1488"
+    code, out, err = run(capsys, "graph", "101", "2", "--phi", path)
+    assert code == 2
+    assert out == "" and "given twice with different values" in err
 
 
 def test_graph_rejects_phi_of_composite_level(capsys, tmp_path):

@@ -8,7 +8,7 @@ import pytest
 
 from spinecycles import cli, quadforms
 from spinecycles import predictor as pr
-from spinecycles.arith import kronecker, moebius, primes_in
+from spinecycles.arith import factorize, kronecker, primes_in
 from spinecycles.predictor import BoundViolation
 from spinecycles.quadforms import (
     Discriminant,
@@ -21,6 +21,12 @@ from spinecycles.quadforms import (
 
 DIVIDING_3_3 = (-107, -104, -92, -83, -59, -44, -23, -11, -8)
 EXACT_3_3 = (-107, -104, -92, -83, -59, -44, -23)
+
+
+def _moebius(n):
+    """The Moebius function: the reference for the paper's inversion formulas."""
+    fac = factorize(n)
+    return 0 if any(e > 1 for _, e in fac) else (-1) ** len(fac)
 
 
 # -------------------------------------------------------- discriminant sets --
@@ -205,17 +211,17 @@ def test_predict_experimental_flag():
 
 
 def test_ns_moebius_form_collapses_to_exact_sum():
-    # the Moebius sum over dividing sets equals the plain sum over the
-    # exact-order set (coefficients of lower-order discriminants cancel)
-    for ell, r in [(3, 3), (2, 6), (5, 2), (3, 4)]:
-        exact = pr.disc_set_exact(ell, r)
-        for p in primes_in(int(pr.kaneko_bound(ell, r).operative), 20000)[:40]:
-            if p == ell:
-                continue
-            sp = pr.predict(ell, r, p)
-            collapsed = sum(pr._delta_unchecked(d, p) * h2(d) for d in exact)
+    # the paper's n_s is a Moebius sum over the dividing sets; predict sums
+    # over the exact-order set, where the lower-order coefficients cancel
+    for ell, r in [(3, 3), (2, 6), (5, 2), (3, 4), (2, 10), (7, 2), (7, 3)]:
+        lo = int(pr.kaneko_bound(ell, r).operative) + 1
+        for p in primes_in(lo, lo + 20000)[:40]:
+            raw = sum(
+                _moebius(k) * sum(pr._delta_unchecked(d, p) * h2(d) for d in pr.disc_set_dividing(ell, r // k))
+                for k in pr._divisors(r)
+            )
             scale = 2 if r % 2 else 1
-            assert sp.n_s == scale * collapsed, (ell, r, p)
+            assert pr.predict(ell, r, p).n_s == scale * raw, (ell, r, p)
 
 
 def test_orbit_count_rejects_class_numbers_breaking_divisibility(monkeypatch):
@@ -280,30 +286,43 @@ def test_average_limit_prime_r_shortcut():
     assert pr.average_limit(5, 3) == len(pr.disc_set_exact(5, 3)) == 22
 
 
-def test_average_limit_invariant_fires_under_optimize():
+@pytest.mark.parametrize("ell", (2, 3, 5))
+@pytest.mark.parametrize("r", range(1, 9))
+def test_average_limit_matches_moebius_form(ell, r):
+    total = sum(_moebius(k) * len(pr.disc_set_dividing(ell, r // k)) for k in pr._divisors(r))
+    assert pr.average_limit(ell, r) == Fraction(total, 2 if r % 2 == 0 else 1)
+
+
+def test_family_nesting_invariant_fires_under_optimize():
+    # the exact-family sums equal the Moebius forms only if the dividing
+    # families nest: here the family of 1 gains a D outside the family of 3
     script = (
         "from spinecycles import predictor as pr\n"
         "assert False, 'asserts are on'\n"
-        "pr.disc_set_exact = lambda ell, r: pr.DiscriminantSet(ell, r, ())\n"
-        "pr.average_limit(3, 3)\n"
+        "real = pr.disc_set_dividing\n"
+        "def patched(ell, r):\n"
+        "    found = real(ell, r)\n"
+        "    return pr.DiscriminantSet(ell, r, (-4, *found.discs)) if (ell, r) == (3, 1) else found\n"
+        "pr.disc_set_dividing = patched\n"
+        "pr.disc_set_exact(3, 3)\n"
     )
     done = subprocess.run(
         [sys.executable, "-O", "-c", script],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(Path(pr.__file__).parents[1])},
     )
     assert done.returncode == 1
-    assert "InvariantViolation: average limit 7 != exact-set size 0" in done.stderr
+    assert "InvariantViolation: dividing families do not nest at ell = 3, r = 3: [-4]" in done.stderr
 
 
 def test_average_limit_even_halved():
     total = sum(
-        moebius(d) * len(pr.disc_set_dividing(2, 6 // d)) for d in (1, 2, 3, 6)
+        _moebius(d) * len(pr.disc_set_dividing(2, 6 // d)) for d in (1, 2, 3, 6)
     )
     assert pr.average_limit(2, 6) == Fraction(total, 2) == Fraction(7, 2)
 
 
 def test_average_limit_power_of_two_uses_halved_formula():
-    total = sum(moebius(d) * len(pr.disc_set_dividing(3, 4 // d)) for d in (1, 2, 4))
+    total = sum(_moebius(d) * len(pr.disc_set_dividing(3, 4 // d)) for d in (1, 2, 4))
     assert pr.average_limit(3, 4) == Fraction(total, 2)
 
 

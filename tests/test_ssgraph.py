@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from spinecycles import ssgraph
-from spinecycles.arith import PrimeContext, primes_in
+from spinecycles.arith import least_nonresidue, primes_in
 from spinecycles.ssgraph import (
     ModularPolynomialData,
     VertexCountMismatch,
@@ -46,11 +46,11 @@ def test_phi_tables_structure(ell):
     data = ModularPolynomialData.load(ell)
     deg = ell + 1
     assert data.ell == ell
-    assert data.coefficient(deg, 0) == 1
-    assert data.coefficient(0, deg) == 1
-    assert data.coefficient(ell, ell) == -1
+    assert data.table.get((deg, 0), 0) == 1
+    assert data.table.get((0, deg), 0) == 1
+    assert data.table.get((ell, ell), 0) == -1
     for (i, k), c in data.table.items():
-        assert data.coefficient(k, i) == c
+        assert data.table.get((k, i), 0) == c
         assert i <= deg and k <= deg
         # X^(l+1) appears only with Y^0
         if i == deg:
@@ -91,6 +91,15 @@ def test_phi_loader_rejects_bad_leading_structure(tmp_path):
     path.write_text("3 0 2\n2 2 -1\n0 0 5\n")  # X^3 coefficient must be 1
     with pytest.raises(ValueError):
         ModularPolynomialData.from_file(path)
+
+
+def test_phi_loader_rejects_conflicting_coefficients():
+    base = "3 0 1\n2 2 -1\n2 1 1488\n"
+    # a line repeated, or repeated through its mirror, with the same value is fine
+    assert ModularPolynomialData.from_text(base + "1 2 1488\n2 1 1488\n") == ModularPolynomialData.from_text(base)
+    for extra in ("2 1 1489\n", "1 2 1489\n"):
+        with pytest.raises(ValueError, match="X\\^[12] Y\\^[12] given twice"):
+            ModularPolynomialData.from_text(base + extra)
 
 
 def test_phi_load_unknown_level():
@@ -248,7 +257,7 @@ def test_edge_symmetry_away_from_special(graph_4643_3):
         for w, m in row:
             if g.vertices[w] in special:
                 continue
-            assert g.multiplicity(w, u) == m
+            assert dict(g.out_edges[w]).get(u, 0) == m
 
 
 def test_special_vertices_present_when_supersingular(graph_4643_3):
@@ -279,8 +288,7 @@ def test_roots_found_once_per_frobenius_orbit(monkeypatch, p, ell):
     assert len(calls) == len(set(calls)) == g.spine_size + (g.vertex_count - g.spine_size) // 2
     # only the seed is reached by no built row
     assert known_counts[0] == 0 and min(known_counts[1:]) >= 1
-    ctx = PrimeContext(p)
-    phimod = real(p, ctx.nonresidue, ell, ModularPolynomialData.load(ell).reduced_rows(p))
+    phimod = real(p, least_nonresidue(p), ell, ModularPolynomialData.load(ell).reduced_rows(p))
     for v, row in zip(g.vertices, g.out_edges):
         found = phimod.roots(v[0], v[1], 7)
         assert sorted(found) == sorted(g.vertices[w] for w, m in row for _ in range(m))
