@@ -22,7 +22,15 @@ off.  A quadratic is solved in closed form: its discriminant is a square of
 F_{p^2} iff its norm is a square of F_p (a Legendre symbol), and the square
 root comes from two square roots in F_p by Tonelli-Shanks with the
 nonresidue s (Adj and Rodriguez-Henriquez 2014).  A nonsquare discriminant
-means f does not split.
+means f does not split.  A cubic is solved by Cardano's formulas: shifted to
+X^3 + P X + Q, its roots are u + v, u zeta + v zeta^2 and u zeta^2 + v zeta
+for zeta a primitive cube root of unity (always in F_{p^2}), u^3 a root of
+the quadratic T^2 + Q T - P^3/27 and v = -P/(3u).  The cube root is taken by
+Adleman-Manders-Miller: with p^2 - 1 = 3^e t and 3 not dividing t, x^k for
+3k = 1 (mod t) is a cube root up to an element of the 3-Sylow subgroup,
+which a walk over the base-3 digits of its discrete log removes (Pohlig and
+Hellman), in at most e steps.  The square root or the cube root is missing
+exactly when the cubic does not split.
 
 Higher degrees take one p-th power per call, yp = Y^p mod sqf on the
 squarefree part sqf = f / gcd(f, f'), and derives every other Frobenius
@@ -34,10 +42,14 @@ The split part is factored by Cantor-Zassenhaus: for a random alpha,
 (Y + alpha)^((p^2-1)/2) = ((yp + conj(alpha)) (Y + alpha))^((p-1)/2) is 1
 at the roots y with y + alpha a nonzero square of F_{p^2}, so its gcd with
 g - 1 splits a factor g about in half, and yp reduced mod each part serves
-the next split.  The alphas come from a splitmix64 stream, so results are
-reproducible from the seed (and are sorted, so any seed yields the same
-output).
+the next split.  A part of degree 3 or less is finished by the closed forms
+above instead of another splitting power; it splits by construction, so a
+closed form that finds no roots there is an arithmetic error.  The alphas
+come from a splitmix64 stream, so results are reproducible from the seed
+(and are sorted, so any seed yields the same output).
 """
+
+from functools import lru_cache
 
 # Phi_ell(j, Y) has degree ell + 1; the level of a --phi table comes from
 # outside the program, so its degree is checked against this bound
@@ -75,6 +87,17 @@ def _f2_inv(x, p, s):
     n = (a * a - s * b * b) % p
     ni = pow(n, p - 2, p)
     return (a * ni % p, (p - b) * ni % p)
+
+
+def _f2_pow(x, n, p, s):
+    result = (1, 0)
+    while n:
+        if n & 1:
+            result = _f2_mul(result, x, p, s)
+        n >>= 1
+        if n:
+            x = _f2_mul(x, x, p, s)
+    return result
 
 
 # -- polynomial helpers; f is a list of (a, b), f[i] the degree-i coefficient --
@@ -162,7 +185,8 @@ def _p_add_const(f, c, p):
 def _cz_distinct_roots(h, yp, p, s, rng):
     """Distinct roots of a monic squarefree polynomial splitting over F_{p^2}.
 
-    yp is Y^p mod h.
+    yp is Y^p mod a multiple of h.  Factors of degree 3 or less are solved in
+    closed form.
     """
     roots = []
     stack = [(h, yp)]
@@ -170,11 +194,13 @@ def _cz_distinct_roots(h, yp, p, s, rng):
     while stack:
         g, yg = stack.pop()
         d = len(g) - 1
-        if d <= 0:
+        if d <= 3:
+            found = _low_degree_roots(g, p, s)
+            if found is None:
+                raise ArithmeticError(f"no closed-form roots of the split factor {g} at p = {p}")
+            roots.extend(found)
             continue
-        if d == 1:
-            roots.append(((p - g[0][0]) % p, (p - g[0][1]) % p))
-            continue
+        yg = _p_divmod(yg, g, p, s)[1]
         while True:
             alpha = (rng.next() % p, rng.next() % p)
             # (Y+alpha)^(p+1) = (Y^p + conj(alpha)) (Y+alpha)
@@ -183,9 +209,8 @@ def _cz_distinct_roots(h, yp, p, s, rng):
             w = _p_add_const(_p_powmod(w, half, g, p, s), (-1, 0), p)
             d1 = _p_gcd(g, w, p, s)
             if d1 and 0 < len(d1) - 1 < d:
-                d2 = _p_divmod(g, d1, p, s)[0]
-                stack.append((d1, _p_divmod(yg, d1, p, s)[1]))
-                stack.append((d2, _p_divmod(yg, d2, p, s)[1]))
+                stack.append((d1, yg))
+                stack.append((_p_divmod(g, d1, p, s)[0], yg))
                 break
     return roots
 
@@ -251,6 +276,113 @@ def _quadratic_roots(f, p, s):
     return [((sign * r[0] - b0) * half % p, (sign * r[1] - b1) * half % p) for sign in (1, -1)]
 
 
+@lru_cache(maxsize=128)
+def _cube_constants(p, s):
+    """(e, k, g, zeta) for cube roots in F_{p^2}.
+
+    p^2 - 1 = 3^e t with 3 not dividing t, and 3k = 1 (mod t); g = z^t for a
+    non-cube z generates the 3-Sylow subgroup, and zeta = g^(3^(e-1)) is a
+    primitive cube root of unity, (-1 + sqrt(-3))/2 or its conjugate.
+    """
+    t, e = p * p - 1, 0
+    while t % 3 == 0:
+        t //= 3
+        e += 1
+    # z is a non-cube iff z^((p^2-1)/3) != 1; a + w is tried rather than an
+    # element of F_p, all of which are cubes when p = 2 (mod 3)
+    third = (p * p - 1) // 3
+    z = next((a, 1) for a in range(p) if _f2_pow((a, 1), third, p, s) != (1, 0))
+    g = _f2_pow(z, t, p, s)
+    return e, pow(3, -1, t), g, _f2_pow(g, 3 ** (e - 1), p, s)
+
+
+def _f2_cube(x, p, s):
+    return _f2_mul(_f2_mul(x, x, p, s), x, p, s)
+
+
+def _f2_cbrt(x, p, s):
+    """A cube root of x in F_{p^2}, or None if x is not a cube.
+
+    Adleman-Manders-Miller: y = x^k has y^3 = x*c with c in the 3-Sylow
+    subgroup, and x is a cube iff c is, iff the order 3^i of c is below
+    3^e.  Each step multiplies y by a power of g^(3^(e-i-1)) chosen to
+    lower that order, so at most e steps reach c = 1 (the Pohlig-Hellman
+    digits of the discrete log of c, one at a time).
+    """
+    if x == (0, 0):
+        return x
+    e, k, g, zeta = _cube_constants(p, s)
+    y = _f2_pow(x, k, p, s)
+    c = _f2_mul(_f2_cube(y, p, s), _f2_inv(x, p, s), p, s)
+    while c != (1, 0):
+        i, ci = 0, c
+        while ci != (1, 0):
+            top, ci = ci, _f2_cube(ci, p, s)
+            i += 1
+        if i == e:
+            return None
+        # top = c^(3^(i-1)) and b^(3^i) = zeta are primitive cube roots of
+        # unity; b^j with top * zeta^j = 1 makes c * b^(3j) of order 3^(i-1)
+        b = _f2_pow(g, 3 ** (e - i - 1), p, s)
+        if top == zeta:
+            b = _f2_mul(b, b, p, s)
+        y = _f2_mul(y, b, p, s)
+        c = _f2_mul(c, _f2_cube(b, p, s), p, s)
+    return y
+
+
+def _cubic_roots(f, p, s):
+    """The roots of a monic cubic with multiplicity, or None if they lie outside F_{p^2}.
+
+    Cardano: Y = X - c with c = f_2/3 gives X^3 + P X + Q, whose roots are
+    u zeta^i + v zeta^(-i) for u^3 a root of T^2 + Q T - P^3/27 and
+    v = -P/(3u).  Both the square root behind T and the cube root exist iff
+    the cubic splits: u is (x_0 + zeta^2 x_1 + zeta x_2)/3 over its roots
+    x_i, and a cubic with one root in F_{p^2} has a nonsquare discriminant.
+    """
+    inv3 = pow(3, p - 2, p)
+    c = (f[2][0] * inv3 % p, f[2][1] * inv3 % p)
+    cc = _f2_mul(c, c, p, s)
+    ccc = _f2_mul(cc, c, p, s)
+    f1c = _f2_mul(f[1], c, p, s)
+    big_p = ((f[1][0] - 3 * cc[0]) % p, (f[1][1] - 3 * cc[1]) % p)
+    big_q = ((f[0][0] - f1c[0] + 2 * ccc[0]) % p, (f[0][1] - f1c[1] + 2 * ccc[1]) % p)
+    m = -inv3 * inv3 * inv3
+    p3 = _f2_cube(big_p, p, s)
+    t = _quadratic_roots([(p3[0] * m % p, p3[1] * m % p), big_q, (1, 0)], p, s)
+    if t is None:
+        return None
+    # the roots of T multiply to -P^3/27, so both are 0 only when P = Q = 0
+    u3 = t[0] if t[0] != (0, 0) else t[1]
+    if u3 == (0, 0):
+        return [((p - c[0]) % p, (p - c[1]) % p)] * 3
+    u = _f2_cbrt(u3, p, s)
+    if u is None:
+        return None
+    v = _f2_mul(big_p, _f2_inv(u, p, s), p, s)
+    v = (-v[0] * inv3 % p, -v[1] * inv3 % p)
+    zeta = _cube_constants(p, s)[3]
+    uz, vz = _f2_mul(u, zeta, p, s), _f2_mul(v, zeta, p, s)
+    # zeta^2 = -1 - zeta
+    return [
+        ((u[0] + v[0] - c[0]) % p, (u[1] + v[1] - c[1]) % p),
+        ((uz[0] - v[0] - vz[0] - c[0]) % p, (uz[1] - v[1] - vz[1] - c[1]) % p),
+        ((vz[0] - u[0] - uz[0] - c[0]) % p, (vz[1] - u[1] - uz[1] - c[1]) % p),
+    ]
+
+
+def _low_degree_roots(f, p, s):
+    """The roots of a monic f of degree at most 3, in closed form; None if f does not split."""
+    d = len(f) - 1
+    if d == 0:
+        return []
+    if d == 1:
+        return [((p - f[0][0]) % p, (p - f[0][1]) % p)]
+    if d == 2:
+        return _quadratic_roots(f, p, s)
+    return _cubic_roots(f, p, s)
+
+
 def _split_roots(f, p, s, rng):
     """Roots of monic f with multiplicity, by Cantor-Zassenhaus; None if f does not split."""
     df = _p_derivative(f, p)
@@ -267,8 +399,7 @@ def _split_roots(f, p, s, rng):
 
     roots = []
     rem = f
-    split_yp = _p_divmod(yp, split_part, p, s)[1]
-    for c in sorted(_cz_distinct_roots(split_part, split_yp, p, s, rng)):
+    for c in sorted(_cz_distinct_roots(split_part, yp, p, s, rng)):
         factor = [((p - c[0]) % p, (p - c[1]) % p), (1, 0)]
         while len(rem) > 1:
             q, r = _p_divmod(rem, factor, p, s)
@@ -297,13 +428,8 @@ def poly_roots(p, s, coeffs, seed, known=()):
         f, r = _p_divmod(f, [((p - a) % p, (p - b) % p), (1, 0)], p, s)
         if r:
             return None
-    d = len(f) - 1
-    if d == 0:
-        roots = []
-    elif d == 1:
-        roots = [((p - f[0][0]) % p, (p - f[0][1]) % p)]
-    elif d == 2:
-        roots = _quadratic_roots(f, p, s)
+    if len(f) <= 4:
+        roots = _low_degree_roots(f, p, s)
     else:
         roots = _split_roots(f, p, s, _SplitMix(_mix64(seed & _MASK64) ^ len(f)))
     return None if roots is None else sorted([*known, *roots])

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -161,6 +160,8 @@ def run_census(cfg: CensusConfig) -> tuple[list[CensusRow], list[str]]:
     primes = [p for p in primes_in(cfg.p_min, cfg.p_max) if p != cfg.ell]
     work = [(p, cfg) for p in primes]
     if cfg.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             rows = list(pool.map(_census_row, work, chunksize=16))
     else:

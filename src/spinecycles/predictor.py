@@ -160,8 +160,11 @@ def _delta_unchecked(d: int, m: int) -> int:
     4 | d one of the mod-8 conditions p = 7 (8), -p + d/4 in {0, 1, 4} (8),
     -p + d = 1 (8) must hold.  Meaningful only for p > |d|, which callers check.
     """
-    if kronecker(d, m) != -1:
-        return 0
+    return _inert_delta(d, m) if kronecker(d, m) == -1 else 0
+
+
+def _inert_delta(d: int, m: int) -> int:
+    """`_delta_unchecked` at a residue m already known to be inert in O_d."""
     for q in _odd_prime_factors(-d):
         if kronecker(-m, q) != 1:
             return 0
@@ -197,7 +200,7 @@ def _counts_at_residue(ell: int, r: int, m: int) -> tuple[int, int]:
     n_s = n_t = 0
     for d in disc_set_exact(ell, r):
         if kronecker(d, m) == -1:
-            n_s += _delta_unchecked(d, m) * quadforms.h2(d)
+            n_s += _inert_delta(d, m) * quadforms.h2(d)
             n_t += _orbit_count(d, r)
     return (2 * n_s if r % 2 else n_s), n_t
 

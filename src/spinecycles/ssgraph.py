@@ -24,10 +24,10 @@ different values, directly or through its mirror, is rejected.
 
 from __future__ import annotations
 
+import os
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 
 from . import _kernel
 from .arith import is_prime, kronecker, least_nonresidue
@@ -116,8 +116,8 @@ class ModularPolynomialData:
 
 @lru_cache(maxsize=None)
 def _builtin(ell: int) -> ModularPolynomialData:
-    text = resources.files("spinecycles.data").joinpath(f"phi{ell}.txt").read_text()
-    data = ModularPolynomialData.from_text(text)
+    path = os.path.join(os.path.dirname(__file__), "data", f"phi{ell}.txt")
+    data = ModularPolynomialData.from_file(path)
     if data.ell != ell:
         raise ValueError(f"table phi{ell}.txt describes level {data.ell}")
     return data

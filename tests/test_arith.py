@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinecycles import _kernel
-from spinecycles._kernel import _f2_mul, _p_mul
+from spinecycles._kernel import _f2_mul, _p_add_const, _p_mul
 from spinecycles.arith import factorize, is_prime, kronecker, least_nonresidue, primes_in
 from spinecycles.ssgraph import build_graph
 
@@ -146,6 +146,18 @@ def test_f2_roots_constructed_multiplicity():
     assert _roots(_from_roots([c, c, e], 4643), 4643) == sorted([c, c, e])
 
 
+@pytest.mark.parametrize("p", [4643, 107, 109])
+@pytest.mark.parametrize("roots", [
+    [(90, 0), (90, 0), (12, 7)],  # a double root
+    [(0, 0), (0, 0), (1, 0)],
+    [(12, 7)] * 3,  # a triple root: P = Q = 0 after the shift
+    [(0, 0)] * 3,
+])
+def test_f2_roots_cubic_multiplicity(roots, p):
+    roots = [(a % p, b % p) for a, b in roots]
+    assert _roots(_from_roots(roots, p), p) == sorted(roots)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_f2_roots_recovers_random_multisets(data):
@@ -225,7 +237,22 @@ def test_pure_root_finder_takes_one_pth_power(monkeypatch):
     roots = sorted([(4, 1), (9, 0), (4, 1), (7, 3), (4642, 17), (0, 5)])
     assert _kernel.poly_roots(p, least_nonresidue(p), _from_roots(roots, p), 3) == roots
     assert exponents.count(p) == 1
-    assert exponents.count((p - 1) // 2) == len(exponents) - 1 >= 4
+    assert exponents.count((p - 1) // 2) == len(exponents) - 1
+    # a cubic quotient is solved in closed form, with no powmod at all
+    exponents.clear()
+    known = [(0, 5), (4, 1), (7, 3)]
+    assert _kernel.poly_roots(p, least_nonresidue(p), _from_roots(roots, p), 3, known) == roots
+    assert exponents == []
+
+
+def test_split_factor_without_closed_form_roots_raises(monkeypatch):
+    # every factor Cantor-Zassenhaus hands to a closed form splits by
+    # construction, so finding no roots there is an arithmetic fault
+    monkeypatch.setattr(_kernel, "_low_degree_roots", lambda f, p, s: None)
+    p = 4643
+    quartic = _from_roots([(4, 1), (9, 0), (7, 3), (0, 5)], p)
+    with pytest.raises(ArithmeticError):
+        _kernel.poly_roots(p, least_nonresidue(p), quartic, 3)
 
 
 def _value(poly, x, p, s):
@@ -255,7 +282,8 @@ def _roots_by_evaluation(poly, p, s):
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_f2_roots_match_exhaustive_evaluation(data):
-    p = data.draw(st.sampled_from((101, 103)))
+    # p^2 - 1 has 3-part 3 at 101 and 103, 27 at 107 and 109
+    p = data.draw(st.sampled_from((101, 103, 107, 109)))
     s = least_nonresidue(p)
     element = st.tuples(st.integers(0, p - 1), st.integers(0, p - 1))
     roots = data.draw(st.lists(element, max_size=6))
@@ -280,3 +308,55 @@ def test_f2_roots_match_exhaustive_evaluation(data):
     # a known value that is not a root leaves a remainder: no answer, split or not
     stranger = data.draw(element.filter(lambda x: x not in roots))
     assert _kernel.poly_roots(p, s, poly, seed, [*known, stranger]) is None
+
+
+# ------------------------------------------------------ cubes in F_{p^2} --
+
+
+def _cubes(p, s):
+    """All elements of F_{p^2}, and the set of their cubes."""
+    elements = [(a, b) for a in range(p) for b in range(p)]
+    return elements, {_f2_mul(_f2_mul(x, x, p, s), x, p, s) for x in elements}
+
+
+@pytest.mark.parametrize("p", [101, 107])
+def test_f2_cube_roots_exhaustive(p):
+    # the 3-Sylow subgroup of F_{p^2}^* has order 3 at p = 101 and 27 at 107
+    s = least_nonresidue(p)
+    elements, cubes = _cubes(p, s)
+    for x in elements:
+        y = _kernel._f2_cbrt(x, p, s)
+        if x in cubes:
+            assert y is not None and _f2_mul(_f2_mul(y, y, p, s), y, p, s) == x, x
+        else:
+            assert y is None, x
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_f2_roots_of_random_cubics(data):
+    # coefficients drawn directly, so most of these cubics have one root or
+    # none in F_{p^2}, and those give no answer
+    p = data.draw(st.sampled_from((101, 107)))
+    s = least_nonresidue(p)
+    element = st.tuples(st.integers(0, p - 1), st.integers(0, p - 1))
+    cubic = [data.draw(element) for _ in range(3)] + [(1, 0)]
+    expected = _roots_by_evaluation(cubic, p, s)
+    found = _kernel.poly_roots(p, s, cubic, data.draw(st.integers(0, 2**32)))
+    assert found == (expected if len(expected) == 3 else None)
+
+
+@pytest.mark.parametrize("p", [101, 107])
+def test_f2_roots_of_shifted_pure_cubics(p):
+    # (Y - a)^3 - z has P = 0 after the shift; it splits iff z is a cube, and
+    # is irreducible otherwise
+    s = least_nonresidue(p)
+    elements, cubes = _cubes(p, s)
+    non_cube = next(x for x in elements if x not in cubes)
+    for a in [(0, 0), (5, 3)]:
+        shifted = _from_roots([a] * 3, p)
+        for z in [(1, 0), (2, 9), non_cube]:
+            cubic = _p_add_const(shifted, (-z[0] % p, -z[1] % p), p)
+            expected = _roots_by_evaluation(cubic, p, s)
+            assert _roots(cubic, p) == (expected if len(expected) == 3 else None)
+            assert (z in cubes) == (len(expected) == 3)
