@@ -21,6 +21,7 @@ it, and the remainder must vanish identically to the working precision.
 
 Self-checks: the known Phi_2 table, the Kronecker congruence
 Phi_L(X,Y) = (X^L - Y)(X - Y^L) mod L, and symmetry of the coefficient matrix.
+A failed check raises TableCheckFailed.
 
 Usage: python scripts/gen_modpoly.py [outdir]
 """
@@ -42,6 +43,16 @@ PHI2_KNOWN = {
     (1, 0): 8748000000,
     (0, 0): -157464000000000,
 }
+
+
+class TableCheckFailed(Exception):
+    """A self-check failed; the level being generated is not written."""
+
+
+def _require(ok, message):
+    # a raise rather than an assert, so that the checks also run under python -O
+    if not ok:
+        raise TableCheckFailed(message)
 
 
 def j_series(nterms):
@@ -86,8 +97,8 @@ def j_series(nterms):
     jq = _mul_trunc(e43, inv, N)
     series = {n - 1: c for n, c in enumerate(jq)}
 
-    assert series[-1] == 1 and series[0] == 744
-    assert series[1] == 196884 and series[2] == 21493760
+    _require(series[-1] == 1 and series[0] == 744, "j(q) does not start q^-1 + 744")
+    _require(series[1] == 196884 and series[2] == 21493760, "j(q) has wrong q^1, q^2 terms")
     return series
 
 
@@ -144,7 +155,7 @@ def phi_table(L, guard=GUARD):
         for i in range(1, m + 1):
             s = ser_addmul(s, ser_mul(esym[m - i], psums[i], acc), sign)
             sign = -sign
-        assert all(c % m == 0 for c in s.values()), f"Newton division failed at e_{m}"
+        _require(all(c % m == 0 for c in s.values()), f"Newton division failed at e_{m}")
         esym[m] = {n: c // m for n, c in s.items()}
 
     # B(X) = prod_k (X - j((t+k)/L)); then A(X) = (X - j(q^L)) * B(X)
@@ -168,7 +179,7 @@ def phi_table(L, guard=GUARD):
         if g0:
             table[(i, 0)] = g0
         bad = {n: c for n, c in rem.items() if n <= guard and c}
-        assert not bad, f"nonpolynomial remainder at X^{i}: {sorted(bad)[:4]}"
+        _require(not bad, f"nonpolynomial remainder at X^{i}: {sorted(bad)[:4]}")
 
     _check(L, table)
     return table
@@ -177,18 +188,18 @@ def phi_table(L, guard=GUARD):
 def _check(L, table):
     deg = L + 1
     for (i, m), c in table.items():
-        assert table.get((m, i), 0) == c, f"asymmetric at {(i, m)}"
-    assert table[(deg, 0)] == 1 and table[(L, L)] == -1
+        _require(table.get((m, i), 0) == c, f"asymmetric at {(i, m)}")
+    _require(table[(deg, 0)] == 1 and table[(L, L)] == -1, f"leading terms wrong at level {L}")
     # Kronecker congruence: Phi_L = (X^L - Y)(X - Y^L) mod L
     kron = {(L + 1, 0): 1, (L, L): -1, (1, 1): -1, (0, L + 1): 1}
     keys = set(table) | set(kron)
     for k in keys:
-        assert (table.get(k, 0) - kron.get(k, 0)) % L == 0, f"Kronecker congruence fails at {k}"
+        _require((table.get(k, 0) - kron.get(k, 0)) % L == 0, f"Kronecker congruence fails at {k}")
     if L == 2:
         sym = {}
         for (i, m), c in table.items():
             sym[(max(i, m), min(i, m))] = c
-        assert sym == PHI2_KNOWN, "Phi_2 does not match the classical table"
+        _require(sym == PHI2_KNOWN, "Phi_2 does not match the classical table")
 
 
 def write_table(L, table, outdir):

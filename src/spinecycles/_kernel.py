@@ -1,14 +1,12 @@
 """The kernel: the hot loops behind graph construction and cycle search.
 
-Five entry points, called through this module so that callers and tests can
+Three entry points, called through this module so that callers and tests can
 substitute them:
 
     poly_roots(p, s, coeffs, seed, known=())
                                      roots in F_{p^2} of a small polynomial
     PhiMod(p, s, ell, rows)          modular-polynomial specializer;
                                      .roots(ja, jb, seed, known=())
-    curve_ap(p, a4, a6)              trace of Frobenius via a character sum
-    first_ss_j(p, start)             scan for a supersingular j in F_p
     closed_walks(r, ...)             primitive non-backtracking closed walks of
                                      length r, one least rotation per cycle
 
@@ -465,27 +463,6 @@ class PhiMod:
         return poly_roots(p, s, coeffs, _mix64(seed & _MASK64) ^ _mix64((ja << 20) ^ jb ^ 1), known)
 
 
-def _qr_table(p):
-    qr = bytearray(p)
-    for x in range(1, (p >> 1) + 1):
-        qr[x * x % p] = 1
-    return qr
-
-
-def _ap_from_table(p, a4, a6, qr):
-    t = 0
-    for x in range(p):
-        v = (x * x * x + a4 * x + a6) % p
-        if v:
-            t += 1 if qr[v] else -1
-    return -t
-
-
-def curve_ap(p, a4, a6):
-    """Trace of Frobenius of y^2 = x^3 + a4 x + a6 over F_p (p > 3 prime)."""
-    return _ap_from_table(p, a4 % p, a6 % p, _qr_table(p))
-
-
 def _curve_for_j(j, p):
     if j == 0:
         return 0, 1
@@ -493,16 +470,6 @@ def _curve_for_j(j, p):
         return 1, 0
     m = j * pow((1728 - j) % p, p - 2, p) % p
     return 3 * m % p, 2 * m % p
-
-
-def first_ss_j(p, start):
-    """Least j >= start in F_p with supersingular reduction (a_p = 0)."""
-    qr = _qr_table(p)
-    for j in range(start, p):
-        a4, a6 = _curve_for_j(j, p)
-        if _ap_from_table(p, a4, a6, qr) == 0:
-            return j
-    raise ValueError(f"no supersingular j in [{start}, {p})")
 
 
 def _ball(v, radius, edge_to, vert_start):

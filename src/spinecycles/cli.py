@@ -398,7 +398,9 @@ def main(argv=None) -> int:
     except (ValueError, BoundViolation, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ssgraph.NonSplitInput, ssgraph.VertexCountMismatch, InvariantViolation) as exc:
+    except (
+        ssgraph.NonSplitInput, ssgraph.VertexCountMismatch, InvariantViolation, ArithmeticError
+    ) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

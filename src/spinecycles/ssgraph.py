@@ -5,8 +5,8 @@ vertex j are the roots of Phi_ell(j, Y) in F_{p^2}, with multiplicity.  The
 graph is grown by breadth-first closure from one supersingular j-invariant in
 F_p (the graph is connected): 1728 or 0 when p = 3 mod 4 or p = 2 mod 3,
 else the CM j-invariant of a class-number-one discriminant inert at p, with
-a scan by trace only when all seven such discriminants split.  Vertices are
-the pairs (a, b) standing for a + b*w, where w^2 is the least quadratic
+a scan by point orders only when all seven such discriminants split.  Vertices
+are the pairs (a, b) standing for a + b*w, where w^2 is the least quadratic
 nonresidue mod p (``arith.least_nonresidue``), sorted canonically, and the
 spine is flagged as the b == 0 locus.  Off the spine the kernel finds roots
 at one vertex of each Frobenius pair (a, b), (a, -b) and the other row is
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import _kernel
-from .arith import is_prime, kronecker, least_nonresidue
+from .arith import factorize, is_prime, kronecker, least_nonresidue
 
 BUILTIN_LEVELS = (2, 3, 5, 7)
 
@@ -127,13 +127,44 @@ def expected_vertex_count(p: int) -> int:
     return (p - 1) // 12 + _EPS_BY_RESIDUE[p % 12]
 
 
-def is_supersingular(j: int, p: int) -> bool:
-    """Supersingularity of the curve with j-invariant j in F_p, by trace.
+def _killed(n: int, x: int, a: int, b: int, p: int) -> bool:
+    """Whether [n]P = O for P = (x : 1) on y^2 = x^3 + a x + b or, as y is unread, its twist."""
+    r = [(1, 0), (x, 1)]  # a Montgomery ladder over (X : Z): R0 = O, R1 = P, R1 - R0 = P
+    for bit in map(int, bin(n)[2:]):
+        # R_bit <- 2 R_bit and R_(1-bit) <- R0 + R1, x-only (Brier and Joye 2002)
+        (x0, z0), (x1, z1) = r[bit], r[1 - bit]
+        t, u, zz = x0 * z1 - x1 * z0, z0 * z1, z0 * z0
+        r[1 - bit] = ((x0 * x1 - a * u) ** 2 - 4 * b * u * (x0 * z1 + x1 * z0)) % p, x * t * t % p
+        dz = 4 * z0 * (x0 * x0 * x0 + a * x0 * zz + b * zz * z0) % p
+        r[bit] = ((x0 * x0 - a * zz) ** 2 - 8 * b * x0 * zz * z0) % p, dz
+    return r[0][1] == 0
 
-    The curve is the kernel's model for j.  Supersingular iff a_p = 0
-    (p > 13 here, so a_p = 0 exactly).
+
+def is_supersingular(j: int, p: int) -> bool:
+    """Supersingularity of j in F_p (p > 13), by point orders (Sutherland 2012).
+
+    For x = 1, 2, ..., skipping roots of the cubic of the kernel's model for j,
+    P = (x : 1) is on the curve or on its twist, and both have p + 1 points iff
+    j is supersingular.  [p+1]P != O proves j ordinary.  Else N^2 > 4p, for N
+    the exact order of P, leaves p + 1 the only multiple of N in the Hasse
+    interval: a_p = 0.  An ordinary curve kills only orders dividing a_p != 0;
+    a supersingular one has points of order (p + 1)/2 > 2 sqrt(p) or more.
     """
-    return _kernel.curve_ap(p, *_kernel._curve_for_j(j % p, p)) == 0
+    if p <= 13:
+        raise ValueError("p must exceed 13")
+    a, b = _kernel._curve_for_j(j % p, p)
+    for x in range(1, p):
+        if (x * x * x + a * x + b) % p == 0:
+            continue
+        if not _killed(p + 1, x, a, b, p):
+            return False
+        order = p + 1
+        for q, _ in factorize(p + 1):
+            while order % q == 0 and _killed(order // q, x, a, b, p):
+                order //= q
+        if order * order > 4 * p:
+            return True
+    return False
 
 
 def find_supersingular_j(p: int) -> int:
@@ -143,8 +174,8 @@ def find_supersingular_j(p: int) -> int:
     both are ordinary, and the j-invariant of the first class-number-one
     discriminant D in ``_CM_J_INVARIANTS`` inert at p is returned: a curve
     with CM by the order of discriminant D is supersingular at every prime
-    inert in Q(sqrt D) (Deuring).  Only when all of them split does the
-    kernel scan j = 1, 2, ... by trace, e.g. at p = 15073.
+    inert in Q(sqrt D) (Deuring).  Only when all of them split, e.g. at
+    p = 15073, is it the least j >= 1 that ``is_supersingular`` accepts.
     """
     if p <= 13:
         raise ValueError("p must exceed 13")
@@ -155,7 +186,7 @@ def find_supersingular_j(p: int) -> int:
     for d, j in _CM_J_INVARIANTS:
         if kronecker(d, p) == -1:
             return j % p
-    return _kernel.first_ss_j(p, 1)
+    return next(j for j in range(1, p) if is_supersingular(j, p))
 
 
 @dataclass(frozen=True)

@@ -395,6 +395,21 @@ def test_formula_invariant_is_internal_error(capsys, monkeypatch):
     assert err.startswith("internal error: h(-104) = 4 ")
 
 
+def test_closed_form_failure_is_internal_error(capsys, monkeypatch):
+    # the seed quartic of Phi_3(1728, Y) at 4643 goes through Cantor-Zassenhaus,
+    # whose factors split by construction; closed forms that find no roots
+    # there raise ArithmeticError, a bug and not a validation failure
+    real = _kernel._low_degree_roots
+    monkeypatch.setattr(
+        _kernel, "_low_degree_roots", lambda f, p, s: None if len(f) > 2 else real(f, p, s)
+    )
+    code, out, err = run(capsys, "graph", "4643", "3")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: no closed-form roots") and "p = 4643" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_usage_error_exit_2(capsys):
     assert run(capsys, "discs", "4", "3")[0] == 2  # ell not prime
     assert run(capsys, "predict", "3", "3", "4642")[0] == 2  # p composite

@@ -1,12 +1,13 @@
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
 from spinecycles import ssgraph
-from spinecycles.arith import least_nonresidue, primes_in
+from spinecycles.arith import kronecker, least_nonresidue, primes_in
 from spinecycles.ssgraph import (
     ModularPolynomialData,
     VertexCountMismatch,
@@ -110,6 +111,30 @@ def test_phi_load_unknown_level():
 # ---------------------------------------------------------- supersingularity --
 
 
+@lru_cache(maxsize=None)
+def _nonzero_squares(p):
+    return frozenset(x * x % p for x in range(1, p))
+
+
+def _curve_ap(p, a4, a6):
+    """Reference trace of Frobenius of y^2 = x^3 + a4 x + a6 over F_p, by a character sum.
+
+    a_p = -sum_x (x^3 + a4 x + a6 | p), in O(p) per curve; the oracle that the
+    point-order test in ``ssgraph.is_supersingular`` is checked against.
+    """
+    squares = _nonzero_squares(p)
+    total = 0
+    for x in range(p):
+        v = (x * x * x + a4 * x + a6) % p
+        if v:
+            total += 1 if v in squares else -1
+    return -total
+
+
+def _supersingular_by_trace(j, p):
+    return _curve_ap(p, *ssgraph._kernel._curve_for_j(j, p)) == 0
+
+
 def test_j1728_supersingular_iff_3_mod_4():
     for p in primes_in(17, 400):
         assert is_supersingular(1728 % p, p) == (p % 4 == 3)
@@ -142,7 +167,7 @@ def test_find_supersingular_j_cases():
     j = find_supersingular_j(1009)
     assert j == -32768 % 1009
     m = j * pow(1728 - j, -1, 1009) % 1009  # y^2 = x^3 + 3m x + 2m has j-invariant j
-    assert ssgraph._kernel.curve_ap(1009, 3 * m, 2 * m) == 0
+    assert _curve_ap(1009, 3 * m, 2 * m) == 0
     # 15073 = 1 mod 12 is the least prime where all seven class-number-one
     # discriminants split: the scan returns the least supersingular j
     j = find_supersingular_j(15073)
@@ -160,11 +185,11 @@ def test_find_supersingular_j_at_every_prime_1_mod_12():
 
 
 def test_find_supersingular_j_needs_no_scan(monkeypatch):
-    # (-7 | 1000033) = -1; a scan by trace would cost an O(p) sum per candidate
+    # (-7 | 1000033) = -1, so the CM seed answers and no point is tested
     def refuse(*_args):
         raise AssertionError("scanned")
 
-    monkeypatch.setattr(ssgraph._kernel, "first_ss_j", refuse)
+    monkeypatch.setattr(ssgraph, "is_supersingular", refuse)
     assert find_supersingular_j(1000033) == -3375 % 1000033
 
 
@@ -180,7 +205,7 @@ def test_curve_for_j_has_j_invariant_j():
 def test_curve_ap_hasse_bound():
     for p in (101, 1009):
         for a4, a6 in ((1, 0), (0, 1), (3, 5)):
-            ap = ssgraph._kernel.curve_ap(p, a4, a6)
+            ap = _curve_ap(p, a4, a6)
             assert ap * ap <= 4 * p
     # exhaustive oracle: a_p = p + 1 - #E(F_p), the affine points plus infinity
     for p in (17, 101):
@@ -189,7 +214,44 @@ def test_curve_ap_hasse_bound():
             affine = sum(
                 1 for x in range(p) for y in range(p) if (y * y - x**3 - a4 * x - a6) % p == 0
             )
-            assert ssgraph._kernel.curve_ap(p, a4, a6) == p + 1 - (affine + 1), (p, a4, a6)
+            assert _curve_ap(p, a4, a6) == p + 1 - (affine + 1), (p, a4, a6)
+
+
+def test_is_supersingular_matches_trace_oracle():
+    # small primes are where a largest point order of (p+1)/2 sits closest to
+    # the 2 sqrt(p) bound; 17 is the first prime the test accepts
+    for p in [*primes_in(14, 400), 1009, 1021]:
+        for j in range(p):
+            assert is_supersingular(j, p) == _supersingular_by_trace(j, p), (p, j)
+
+
+def test_is_supersingular_rejects_small_primes():
+    with pytest.raises(ValueError):
+        is_supersingular(0, 13)
+
+
+# the primes below 10^5 at which all seven class-number-one discriminants
+# split, and 260089, with the least supersingular j >= 1 at each
+FALLBACK_SEEDS = {15073: 137, 18313: 1978, 38833: 3235, 69337: 2840, 71593: 44, 260089: 655}
+
+
+def test_find_supersingular_j_fallback_seeds():
+    splits = [
+        p for p in primes_in(14, 10**5)
+        if p % 12 == 1 and all(kronecker(d, p) == 1 for d, _ in ssgraph._CM_J_INVARIANTS)
+    ]
+    assert splits == sorted(FALLBACK_SEEDS)[:-1]
+    for p, j in FALLBACK_SEEDS.items():
+        assert all(kronecker(d, p) == 1 for d, _ in ssgraph._CM_J_INVARIANTS), p
+        assert find_supersingular_j(p) == j, p
+
+
+@pytest.mark.parametrize("p", [15073, 71593])
+def test_fallback_seed_is_least_by_trace(p):
+    j = FALLBACK_SEEDS[p]
+    assert _supersingular_by_trace(j, p)
+    for smaller in range(1, j):
+        assert not _supersingular_by_trace(smaller, p), smaller
 
 
 # -------------------------------------------------------------- graph build --
