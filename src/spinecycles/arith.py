@@ -11,6 +11,8 @@ representation.  Arithmetic on those pairs lives in the root-finding kernel.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress
+from math import isqrt
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -104,17 +106,24 @@ def factorize(n: int) -> list[tuple[int, int]]:
 
 
 def primes_in(lo: int, hi: int) -> list[int]:
-    """Primes p with lo <= p <= hi, by sieve (hi capped at 10^8)."""
-    if hi > 10**8:
-        raise ValueError("sieve range too large")
-    if hi < 2 or hi < lo:
+    """Primes p with lo <= p <= hi, by a sieve of the window [lo, hi] alone.
+
+    The base primes up to sqrt(hi) come from a sieve of their own.  Each
+    sieve is capped at 10^8 entries, so the window is at most 10^8 wide and
+    hi below about 10^16; hi >= 2^64 is refused outright, as by `is_prime`.
+    """
+    if hi >= 1 << 64:
+        raise ValueError(f"{hi} is too large for the prime sieve (limit 2^64)")
+    lo = max(lo, 2)
+    if hi < lo:
         return []
-    sieve = bytearray([1]) * (hi + 1)
-    sieve[0:2] = b"\x00\x00"
-    for q in range(2, int(hi**0.5) + 1):
-        if sieve[q]:
-            sieve[q * q :: q] = bytearray(len(sieve[q * q :: q]))
-    return [n for n in range(max(lo, 2), hi + 1) if sieve[n]]
+    if hi - lo >= 10**8:
+        raise ValueError("sieve range too large")
+    sieve = bytearray([1]) * (hi - lo + 1)
+    for q in primes_in(2, isqrt(hi)):
+        start = max(q * q, -(-lo // q) * q) - lo
+        sieve[start::q] = bytes(len(range(start, len(sieve), q)))
+    return list(compress(range(lo, hi + 1), sieve))
 
 
 @lru_cache(maxsize=None)

@@ -19,6 +19,14 @@ is the disjoint union of the exact families of the divisors of k, so those
 inversions are plain sums over the exact family for r, and that is how they
 are computed here.  Discriminants are plain ints, and no step composes
 forms; class numbers are counted only for the n_t orbit sizes.
+
+A prediction at a prime or residue m computes one Legendre symbol
+(m|q) = m^((q-1)/2) mod q per odd prime q of the exact family's factor base
+(388 primes for 628 discriminants at ell = 5, r = 7); Jacobi
+multiplicativity and reciprocity turn those into every (D|m) and (-m|q) the
+criteria ask for.  That needs m odd and coprime to every D of the family:
+`predict` guarantees it by p > max|D|, `ResidueCensus.entry` by
+gcd(m, modulus) = 1, and a residue that breaks it raises InvariantViolation.
 """
 
 from __future__ import annotations
@@ -119,6 +127,12 @@ def disc_set_exact(ell: int, r: int) -> DiscriminantSet:
     return DiscriminantSet(ell, r, keep)
 
 
+@lru_cache(maxsize=None)
+def _largest_abs_disc(ell: int, r: int) -> int:
+    """max |D| over the dividing family: the root-count criteria need p above it."""
+    return max(-d for d in disc_set_dividing(ell, r).values())
+
+
 @dataclass(frozen=True)
 class KanekoBound:
     """Validity thresholds: above `operative`, formula counts are exact."""
@@ -142,36 +156,8 @@ def kaneko_bound(ell: int, r: int) -> KanekoBound:
         M_strong = max(kaneko_bound(ell, ri).M for ri in range(1, r))
     # the root-count criteria additionally need p > |D| over every discriminant
     # the prediction touches, which M alone does not guarantee in corner cases
-    largest = max((-d for d in disc_set_dividing(ell, r).values()), default=0)
-    operative = max(M, M_strong or Fraction(0), Fraction(largest))
+    operative = max(M, M_strong or Fraction(0), Fraction(_largest_abs_disc(ell, r)))
     return KanekoBound(ell, r, M, M_strong, operative)
-
-
-@lru_cache(maxsize=None)
-def _odd_prime_factors(n: int) -> tuple[int, ...]:
-    return tuple(q for q, _ in factorize(n) if q % 2)
-
-
-def _delta_unchecked(d: int, m: int) -> int:
-    """1 iff p = m is inert in O_d and the class polynomial of O_d has an F_p root.
-
-    Decided purely by Kronecker symbols and congruences, so it depends only on
-    the residue m: p inert, (-p | q) = 1 at every odd prime q | d, and when
-    4 | d one of the mod-8 conditions p = 7 (8), -p + d/4 in {0, 1, 4} (8),
-    -p + d = 1 (8) must hold.  Meaningful only for p > |d|, which callers check.
-    """
-    return _inert_delta(d, m) if kronecker(d, m) == -1 else 0
-
-
-def _inert_delta(d: int, m: int) -> int:
-    """`_delta_unchecked` at a residue m already known to be inert in O_d."""
-    for q in _odd_prime_factors(-d):
-        if kronecker(-m, q) != 1:
-            return 0
-    if d % 4 == 0:
-        if m % 8 != 7 and (-m + d // 4) % 8 not in (0, 1, 4) and (-m + d) % 8 != 1:
-            return 0
-    return 1
 
 
 @dataclass(frozen=True)
@@ -196,12 +182,71 @@ def _orbit_count(d: int, r: int) -> int:
     return 2 * h // r
 
 
+@lru_cache(maxsize=None)
+def _symbol_table(ell: int, r: int) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
+    """The exact family's factor base, and each D factored over it.
+
+    The base is the sorted odd primes dividing some D of `disc_set_exact`.
+    Each row is (D, the base indices of the odd q with odd exponent in |D|,
+    whether 2 has odd exponent in |D|, the base indices of every odd q | D).
+    """
+    factored = [(d, factorize(-d)) for d in disc_set_exact(ell, r)]
+    base = sorted({q for _, fac in factored for q, _ in fac if q > 2})
+    at = {q: i for i, q in enumerate(base)}
+    rows = tuple(
+        (
+            d,
+            tuple(at[q] for q, e in fac if q > 2 and e % 2),
+            any(q == 2 and e % 2 for q, e in fac),
+            tuple(at[q] for q, _ in fac if q > 2),
+        )
+        for d, fac in factored
+    )
+    return tuple(base), rows
+
+
 def _counts_at_residue(ell: int, r: int, m: int) -> tuple[int, int]:
+    """(n_s, n_t) at a prime or residue m, from one Legendre symbol per base prime.
+
+    A D of the exact family counts towards n_t when m is inert in O_D,
+    (D|m) = -1, and towards n_s (weighted by h2(D)) when moreover
+    (-m|q) = 1 at every odd q | D and, for 4 | D, one of the mod-8
+    conditions m = 7 (8), -m + D/4 in {0, 1, 4} (8), -m + D = 1 (8) holds.
+    With |D| = 2^a * prod q^e and m odd and coprime to every D, the
+    symbols all follow from L[q] = (m|q) at the odd primes q of the base:
+
+      (D|m)  = (-1|m) * (2|m)^a * prod (q|m)^e
+      (q|m)  = (m|q) * (-1)^((q-1)/2 * (m-1)/2)
+      (-m|q) = (-1)^((q-1)/2) * (m|q)
+      (m|q)  = m^((q-1)/2) mod q
+
+    A residue m = 0 mod q would read as (m|q) = 0 and must never be
+    taken for -1, so an even m or one sharing a prime with a D raises
+    InvariantViolation.  Both callers rule it out: `predict` by p > max|D|,
+    `ResidueCensus.entry` by gcd(m, modulus) = 1.
+    """
+    base, rows = _symbol_table(ell, r)
+    raw = [pow(m, q >> 1, q) for q in base]
+    if 0 in raw or not m & 1:
+        raise InvariantViolation(f"residue {m} is even or shares a prime with a discriminant of the family")
+    m3 = m & 3 == 3  # (-1|m) = -1
+    two = m & 7 in (3, 5)  # (2|m) = -1
+    # per base prime, whether a symbol is -1: (m|q); (-m|q), which differs
+    # from it when q = 3 (4); (q|m), which differs from it when q = m = 3 (4)
+    m_q = [x != 1 for x in raw]
+    neg_m_q = [x ^ (q & 3 == 3) for x, q in zip(m_q, base)]
+    q_m = neg_m_q if m3 else m_q
     n_s = n_t = 0
-    for d in disc_set_exact(ell, r):
-        if kronecker(d, m) == -1:
-            n_s += _inert_delta(d, m) * quadforms.h2(d)
+    for d, odd, a_odd, every in rows:
+        inert = m3 ^ (two and a_odd)
+        for i in odd:
+            inert ^= q_m[i]
+        if inert:
             n_t += _orbit_count(d, r)
+            if not any(neg_m_q[i] for i in every) and (
+                d % 4 or m % 8 == 7 or (d // 4 - m) % 8 in (0, 1, 4) or (d - m) % 8 == 1
+            ):
+                n_s += quadforms.h2(d)
     return (2 * n_s if r % 2 else n_s), n_t
 
 
@@ -209,7 +254,7 @@ def predict(ell: int, r: int, p: int) -> SpinePrediction:
     """Formula-side (n_s, n_t) at p; `valid` marks the theorem-backed regime."""
     if not is_prime(p) or p == ell or p <= 13:
         raise ValueError(f"p must be a prime > 13 different from ell (got {p})")
-    largest = max(-d for d in disc_set_dividing(ell, r).values())
+    largest = _largest_abs_disc(ell, r)
     if p <= largest:
         raise BoundViolation(f"p = {p} does not exceed every |D| (max {largest})")
     n_s, n_t = _counts_at_residue(ell, r, p)

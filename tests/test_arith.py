@@ -85,6 +85,24 @@ def test_is_prime_against_sieve():
     marked = set(primes_in(2, 5000))
     for n in range(5000):
         assert is_prime(n) == (n in marked)
+    for lo in range(-2, 40):  # windows that start inside the base primes' range
+        for hi in range(-2, 40):
+            assert primes_in(lo, hi) == [n for n in range(lo, hi + 1) if is_prime(n)], (lo, hi)
+
+
+def test_primes_in_windows_above_ten_to_the_eight():
+    lo, hi = 172154081, 172154400  # the (3, 8) operative bound is 172154080
+    assert primes_in(lo, hi) == [n for n in range(lo, hi + 1) if is_prime(n)]
+    assert primes_in(10**12, 10**12 + 500) == [n for n in range(10**12, 10**12 + 501) if is_prime(n)]
+
+
+def test_primes_in_refuses_oversized_sieves():
+    with pytest.raises(ValueError, match="sieve range too large"):
+        primes_in(5, 10**8 + 5)  # window wider than 10^8
+    with pytest.raises(ValueError, match="sieve range too large"):
+        primes_in(10**17, 10**17 + 10)  # base primes up to sqrt(hi) > 10^8
+    with pytest.raises(ValueError, match="limit 2\\^64"):
+        primes_in(2**64 - 10, 2**64)
 
 
 # strong pseudoprime to all twelve Miller-Rabin witnesses: 399165290221 * 798330580441

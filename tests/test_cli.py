@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 
 from spinecycles import _kernel, cli, cycles, predictor, quadforms, ssgraph
+from spinecycles.arith import is_prime
 
 
 def run(capsys, *argv):
@@ -221,6 +222,22 @@ def test_census_formula_sweep_average_band(capsys, tmp_path):
     avg_line = next(ln for ln in out.splitlines() if ln.startswith("final_running_avg="))
     avg = float(avg_line.split("=")[1].split()[0])
     assert 6 <= avg <= 8
+
+
+def test_census_sweeps_above_ten_to_the_eight(capsys, tmp_path):
+    # just above the (3, 8) operative bound, where the sieve once refused
+    lo, hi = 172154081, 172154400
+    out_csv = tmp_path / "l3r8.csv"
+    code, out, _ = run(
+        capsys,
+        "census", "--ell", "3", "--r", "8", "--pmin", str(lo), "--pmax", str(hi),
+        "-o", str(out_csv),
+    )
+    assert code == 0
+    primes = [p for p in range(lo, hi + 1) if is_prime(p)]
+    rows = out_csv.read_text().splitlines()[1:]
+    assert [int(row.split(",")[0]) for row in rows] == primes
+    assert f"rows={len(primes)} errors=0" in out
 
 
 def test_census_oracle_requires_builtin_or_phi(capsys, tmp_path):

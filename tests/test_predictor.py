@@ -1,7 +1,10 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -139,27 +142,105 @@ def test_kaneko_operative_dominates_discriminants():
 
 
 # ---------------------------------------------------------------- delta_p  --
+#
+# The per-discriminant criterion, one Kronecker symbol at a time: the oracle
+# for `_counts_at_residue`, which reads every symbol off one Legendre symbol
+# per prime of the family's factor base.
+
+
+@lru_cache(maxsize=None)
+def _odd_prime_factors(n):
+    return tuple(q for q, _ in factorize(n) if q % 2)
+
+
+def _inert_delta(d, m):
+    """`_delta_unchecked` at a residue m already known to be inert in O_d."""
+    for q in _odd_prime_factors(-d):
+        if kronecker(-m, q) != 1:
+            return 0
+    if d % 4 == 0:
+        if m % 8 != 7 and (-m + d // 4) % 8 not in (0, 1, 4) and (-m + d) % 8 != 1:
+            return 0
+    return 1
+
+
+def _delta_unchecked(d, m):
+    """1 iff p = m is inert in O_d and the class polynomial of O_d has an F_p root.
+
+    Decided purely by Kronecker symbols and congruences, so it depends only on
+    the residue m: p inert, (-p | q) = 1 at every odd prime q | d, and when
+    4 | d one of the mod-8 conditions p = 7 (8), -p + d/4 in {0, 1, 4} (8),
+    -p + d = 1 (8) must hold.  Meaningful only for p > |d|, which callers check.
+    """
+    return _inert_delta(d, m) if kronecker(d, m) == -1 else 0
+
+
+def _oracle_counts(ell, r, m):
+    """(n_s, n_t) at m as the sum over the exact family, D by D."""
+    n_s = n_t = 0
+    for d in pr.disc_set_exact(ell, r):
+        if kronecker(d, m) == -1:
+            n_s += _inert_delta(d, m) * quadforms.h2(d)
+            n_t += pr._orbit_count(d, r)
+    return (2 * n_s if r % 2 else n_s), n_t
+
+
+@pytest.fixture
+def weights_by_disc(monkeypatch):
+    # Distinct weights per D in place of h2 and 2h/r: a sum then tells the
+    # contributing sets apart, and no class number is computed.
+    monkeypatch.setattr(quadforms, "h2", lambda d: d * d)
+    monkeypatch.setattr(pr, "_orbit_count", lambda d, r: -d)
 
 
 def test_delta_p_worked_prime():
-    assert pr._delta_unchecked(-23, 4643) == 1
-    assert pr._delta_unchecked(-104, 4643) == 0
-    assert pr._delta_unchecked(-92, 4643) == 1
+    assert _delta_unchecked(-23, 4643) == 1
+    assert _delta_unchecked(-104, 4643) == 0
+    assert _delta_unchecked(-92, 4643) == 1
 
 
 def test_delta_p_split_prime_is_zero():
     # kronecker(-59, 4643) = +1: p splits, no contribution
-    assert pr._delta_unchecked(-59, 4643) == 0
+    assert _delta_unchecked(-59, 4643) == 0
 
 
 def test_delta_p_mod8_branch():
     # -104: odd-prime condition is (-p | 13) = 1; then one mod-8 escape needed
     for p in primes_in(105, 4000):
-        got = pr._delta_unchecked(-104, p)
+        got = _delta_unchecked(-104, p)
         inert = kronecker(-104, p) == -1
         odd_ok = kronecker(-p, 13) == 1
         mod8 = p % 8 == 7 or (-p - 26) % 8 in (0, 1, 4) or (-p - 104) % 8 == 1
         assert got == int(inert and odd_ok and mod8)
+
+
+def test_counts_match_oracle_at_every_benchmark_prime(weights_by_disc):
+    # the formula_l5r7 benchmark range: 628 discriminants over 388 base primes
+    primes = primes_in(312500, 316000)
+    assert len(primes) == 281
+    for p in primes:
+        assert pr._counts_at_residue(5, 7, p) == _oracle_counts(5, 7, p), p
+
+
+@pytest.mark.parametrize("ell,r", [(3, 3), (2, 6), (5, 7), (3, 5)])
+def test_residue_entries_match_oracle(weights_by_disc, ell, r):
+    # odd and even r, and 4 | D (the mod-8 branch, e.g. -104 at (3, 3))
+    rc = pr.residue_census(ell, r)
+    rng = random.Random(ell * 100 + r)
+    checked = 0
+    while checked < 100:
+        m = rng.randrange(rc.modulus)
+        if gcd(m, rc.modulus) == 1:
+            assert rc.entry(m) == _oracle_counts(ell, r, m), m
+            checked += 1
+
+
+@pytest.mark.parametrize("m", [23 * 4649, 13 * 4649, 2 * 4649, 4 * 4649])
+def test_counts_refuse_a_residue_sharing_a_prime_with_the_family(m):
+    # -23 and -104 = -8 * 13 lie in the (3, 3) family: a symbol of 0 must not
+    # be read as -1, nor an even m (not coprime to -104) be counted at all
+    with pytest.raises(InvariantViolation, match=f"residue {m} "):
+        pr._counts_at_residue(3, 3, m)
 
 
 # ------------------------------------------------------------------ predict --
@@ -217,7 +298,7 @@ def test_ns_moebius_form_collapses_to_exact_sum():
         lo = int(pr.kaneko_bound(ell, r).operative) + 1
         for p in primes_in(lo, lo + 20000)[:40]:
             raw = sum(
-                _moebius(k) * sum(pr._delta_unchecked(d, p) * h2(d) for d in pr.disc_set_dividing(ell, r // k))
+                _moebius(k) * sum(_delta_unchecked(d, p) * h2(d) for d in pr.disc_set_dividing(ell, r // k))
                 for k in pr._divisors(r)
             )
             scale = 2 if r % 2 else 1
