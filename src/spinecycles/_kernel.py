@@ -30,13 +30,14 @@ which a walk over the base-3 digits of its discrete log removes (Pohlig and
 Hellman), in at most e steps.  The square root or the cube root is missing
 exactly when the cubic does not split.
 
-Higher degrees take one p-th power per call, yp = Y^p mod sqf on the
-squarefree part sqf = f / gcd(f, f'), and derives every other Frobenius
-image from it by composition (von zur Gathen and Shoup 1992).  Raising to
-the p-th power maps sum c_i Y^i to sum conj(c_i) Y^(ip), where conj(a + b*w)
-= a - b*w, so Y^(p^2) = conj(yp)(yp) mod sqf, and gcd(sqf, Y^(p^2) - Y) is
-the part that splits over F_{p^2}; f splits iff that part is all of sqf.
-The split part is factored by Cantor-Zassenhaus: for a random alpha,
+Higher degrees take one p-th power per call, yp = Y^p mod f, and derive
+every other Frobenius image from it by composition (von zur Gathen and Shoup
+1992).  Raising to the p-th power maps sum c_i Y^i to sum conj(c_i) Y^(ip),
+where conj(a + b*w) = a - b*w, so Y^(p^2) = conj(yp)(yp) mod f, and
+gcd(f, Y^(p^2) - Y) is the product of (Y - y) over the distinct roots y of f
+in F_{p^2}: squarefree, since Y^(p^2) - Y is.  f splits iff dividing out
+those roots, with multiplicity, leaves a constant.
+That gcd is factored by Cantor-Zassenhaus: for a random alpha,
 (Y + alpha)^((p^2-1)/2) = ((yp + conj(alpha)) (Y + alpha))^((p-1)/2) is 1
 at the roots y with y + alpha a nonzero square of F_{p^2}, so its gcd with
 g - 1 splits a factor g about in half, and yp reduced mod each part serves
@@ -167,10 +168,6 @@ def _p_powmod(base, e, mod, p, s):
         if e:
             acc = _p_mulmod(acc, acc, mod, p, s)
     return result
-
-
-def _p_derivative(f, p):
-    return _p_strip([((i * a) % p, (i * b) % p) for i, (a, b) in enumerate(f)][1:])
 
 
 def _p_add_const(f, c, p):
@@ -383,17 +380,15 @@ def _low_degree_roots(f, p, s):
 
 def _split_roots(f, p, s, rng):
     """Roots of monic f with multiplicity, by Cantor-Zassenhaus; None if f does not split."""
-    df = _p_derivative(f, p)
-    sqf = _p_divmod(f, _p_gcd(f, df, p, s), p, s)[0] if df else f
-    # the part of sqf splitting over F_{p^2}: gcd(sqf, Y^(p^2) - Y), with
-    # Y^(p^2) = conj(yp)(yp) by Horner
-    yp = _p_powmod([(0, 0), (1, 0)], p, sqf, p, s)
+    # the distinct roots of f in F_{p^2}: gcd(f, Y^(p^2) - Y), squarefree
+    # because Y^(p^2) - Y is, with Y^(p^2) = conj(yp)(yp) by Horner
+    yp = _p_powmod([(0, 0), (1, 0)], p, f, p, s)
     yp2 = []
     for a, b in reversed(yp):
-        yp2 = _p_add_const(_p_mulmod(yp2, yp, sqf, p, s) if yp2 else [], (a, -b), p)
+        yp2 = _p_add_const(_p_mulmod(yp2, yp, f, p, s) if yp2 else [], (a, -b), p)
     lin = list(yp2) + [(0, 0)] * (2 - len(yp2))
     lin[1] = ((lin[1][0] - 1) % p, lin[1][1])
-    split_part = _p_gcd(sqf, _p_strip(lin), p, s)
+    split_part = _p_gcd(f, _p_strip(lin), p, s)
 
     roots = []
     rem = f

@@ -38,7 +38,7 @@ from math import gcd, lcm
 
 from . import quadforms
 from .arith import is_prime, kronecker, factorize
-from .quadforms import Discriminant, InvariantViolation
+from .quadforms import InvariantViolation, conductor
 
 
 class BoundViolation(Exception):
@@ -94,7 +94,7 @@ def disc_set_dividing(ell: int, r: int) -> DiscriminantSet:
         x += 1
     discs = tuple(sorted(found))
     for d in discs:
-        if kronecker(d, ell) != 1 or Discriminant.of(d).conductor % ell == 0:
+        if kronecker(d, ell) != 1 or conductor(d) % ell == 0:
             raise InvariantViolation(f"{ell} is not split and ell-fundamental in {d}")
     return DiscriminantSet(ell, r, discs)
 

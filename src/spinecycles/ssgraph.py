@@ -264,9 +264,8 @@ def build_graph(p: int, ell: int, seed: int = 0, phi: ModularPolynomialData | No
 
     ordering = sorted(adjacency)
     index = {v: i for i, v in enumerate(ordering)}
-    out_edges = tuple(
-        tuple(sorted((index[w], m) for w, m in adjacency[v])) for v in ordering
-    )
+    # each row is sorted by w, and index is monotone in w
+    out_edges = tuple(tuple((index[w], m) for w, m in adjacency[v]) for v in ordering)
     spine = tuple(b == 0 for _, b in ordering)
     return IsogenyGraph(p=p, ell=ell, vertices=tuple(ordering), out_edges=out_edges, spine=spine)
 

