@@ -8,7 +8,10 @@ substitute them:
     PhiMod(p, s, ell, rows)          modular-polynomial specializer;
                                      .roots(ja, jb, seed, known=())
     closed_walks(r, ...)             primitive non-backtracking closed walks of
-                                     length r, one least rotation per cycle
+                                     length r, one least rotation per cycle,
+                                     sorted; found by joining heads of
+                                     ceil(r/2) edges to tails of r // 2
+                                     edges grown back from the start vertex
 
 F_{p^2} is F_p[w] with w^2 = s for a quadratic nonresidue s; elements are
 (a, b) pairs meaning a + b*w.  Polynomials are lists of such pairs, index =
@@ -467,22 +470,6 @@ def _curve_for_j(j, p):
     return 3 * m % p, 2 * m % p
 
 
-def _ball(v, radius, edge_to, vert_start):
-    """Distances from v, up to radius, over the vertices >= v: {vertex: d}."""
-    dist = {v: 0}
-    frontier = [v]
-    for d in range(1, radius + 1):
-        nxt = []
-        for u in frontier:
-            for e in range(vert_start[u], vert_start[u + 1]):
-                w = edge_to[e]
-                if w > v and w not in dist:
-                    dist[w] = d
-                    nxt.append(w)
-        frontier = nxt
-    return dist
-
-
 def closed_walks(r, edge_to, edge_dual, vert_start):
     """The primitive non-backtracking closed walks of length r, each once.
 
@@ -492,53 +479,94 @@ def closed_walks(r, edge_to, edge_dual, vert_start):
     cyclic class appears once, as its Lyndon word: the rotation strictly less
     than all the others, which exists exactly when the walk is not a proper
     power and begins with the walk's least edge (Chen-Fox-Lyndon; Duval
-    1983).  So the search from start edge e0 extends only with edges >= e0,
-    and the walks come out sorted.
+    1983).  So a walk from start edge e0 uses only edges >= e0, which leave
+    only vertices >= v, the source of e0.  Such a walk is strictly less than
+    each rotation that starts at a larger edge, so rotations are compared
+    only when e0 recurs in it.
 
-    The search is pruned to the ball of radius r // 2 around the start
-    vertex v: an edge into w is skipped when w is farther from v than the
-    number of edges the walk would still need after it.  The prune is exact.
-    The Lyndon rule keeps every vertex of a walk from v at index >= v (edges
-    >= e0 leave vertices >= v), so distances are taken by breadth-first
-    search over the vertices >= v only.  Every edge has a dual going back
-    (edge_dual), so that adjacency is symmetric: the distance from v to w
-    is also the shortest way from w back to v, and a branch is cut only if
-    no completion of it can close at v.  Vertices outside the ball count as
-    radius + 1, a lower bound on their distance.  Only the first
-    ceil(r/2) edges of a walk are free; every later edge must stay within
-    reach of v, so the cost falls from about ell^r / r walks per vertex to
-    about ell^ceil(r/2).
+    The search meets in the middle.  A walk from e0 is a head of ceil(r/2)
+    edges, e0 first, and a tail of r // 2 edges ending at v.  Start vertices
+    are taken in decreasing order, so that the in-edge lists, grown as they
+    go, hold just the edges leaving vertices >= v.  For each v the tails are
+    grown once, backwards from v through those lists, and grouped by their
+    first vertex.  They are grown from in-edges, not taken as heads reversed
+    through their duals: the dual pairing is not an involution at j = 0 and
+    1728, where a copy of u -> w can be the dual of no copy of w -> u, and a
+    walk through such a copy would be missed.  Then the heads of every
+    out-edge e0 of v are grown forwards over edges >= e0, all but their last
+    edge; each last edge is tried against the tails at the vertex it enters.
+    A join is kept when the junction is not a backtrack, nor the wrap-around
+    from the tail's last edge to e0, and no tail edge is below e0, which
+    only a tail that leaves v again can break.  Each half costs about
+    ell^(r/2) walks per start vertex, where a depth-first search would walk
+    every continuation of each head until it died.  The walks of each v are
+    sorted, and the start vertices put back in increasing order, so the
+    walks come out sorted.  At r = 2 there is no middle: a walk is e0 and a
+    larger edge straight back.
     """
     if r < 2:
         raise ValueError("walk length must be at least 2")
+    if r == 2:
+        # edge_to[edge_dual[e0]] is the source of e0
+        return [
+            (e0, e)
+            for e0, w in enumerate(edge_to)
+            for e in range(max(vert_start[w], e0 + 1), vert_start[w + 1])
+            if edge_to[e] == edge_to[edge_dual[e0]] and e != edge_dual[e0] and edge_dual[e] != e0
+        ]
     n = len(vert_start) - 1
-    radius = r // 2
-    far = radius + 1
-    out = []
-    for v in range(n):
-        dist = _ball(v, radius, edge_to, vert_start)
-        for e0 in range(vert_start[v], vert_start[v + 1]):
-            path = [e0]
-            w = edge_to[e0]
-            stack = [iter(range(max(vert_start[w], e0), vert_start[w + 1]))]
-            while stack:
-                e = next(stack[-1], None)
-                if e is None:
-                    stack.pop()
-                    path.pop()
+    into = [[] for _ in range(n)]  # in-edges from the vertices >= v
+    per_vertex = []
+    for v in range(n - 1, -1, -1):
+        lo = vert_start[v]
+        for e in range(lo, vert_start[v + 1]):
+            into[edge_to[e]].append(e)
+        tails = [(g,) for g in into[v]]
+        for _ in range(r // 2 - 1):
+            tails = [
+                (g, *tail)
+                for tail in tails
+                for g in into[edge_to[edge_dual[tail[0]]]]
+                if edge_dual[g] != tail[0]
+            ]
+        if not tails:
+            continue
+        tails_from = {}
+        for tail in tails:
+            tails_from.setdefault(edge_to[edge_dual[tail[0]]], []).append(tail)
+        # heads without their last edge, which the join takes
+        heads = [(e0,) for e0 in range(lo, vert_start[v + 1])]
+        for _ in range(r - r // 2 - 2):
+            heads = [
+                (*head, e)
+                for head in heads
+                for e in range(max(vert_start[edge_to[head[-1]]], head[0]), vert_start[edge_to[head[-1]] + 1])
+                if e != edge_dual[head[-1]]
+            ]
+        found = []
+        for head in heads:
+            e0 = head[0]
+            back = edge_dual[head[-1]]
+            w = edge_to[head[-1]]
+            for e in range(max(vert_start[w], e0), vert_start[w + 1]):
+                joins = tails_from.get(edge_to[e])
+                if joins is None or e == back:
                     continue
-                if e == edge_dual[path[-1]]:
-                    continue
-                if len(path) + 1 == r:
-                    if edge_to[e] == v and edge_dual[e] != e0:
-                        walk = (*path, e)
-                        # only a rotation starting at another copy of e0 can tie or undercut
-                        if all(walk < walk[i:] + walk[:i] for i in range(1, r) if walk[i] == e0):
-                            out.append(walk)
-                else:
-                    w = edge_to[e]
-                    if dist.get(w, far) > r - 1 - len(path):
+                after = edge_dual[e]
+                for tail in joins:
+                    if tail[0] == after or edge_dual[tail[-1]] == e0 or min(tail) < e0:
                         continue
-                    path.append(e)
-                    stack.append(iter(range(max(vert_start[w], e0), vert_start[w + 1])))
+                    walk = (*head, e, *tail)
+                    # only a rotation starting at another copy of e0 can tie or undercut
+                    if walk.count(e0) > 1 and not all(
+                        walk < walk[i:] + walk[:i] for i in range(1, r) if walk[i] == e0
+                    ):
+                        continue
+                    found.append(walk)
+        if found:
+            found.sort()
+            per_vertex.append(found)
+    out = []
+    for found in reversed(per_vertex):
+        out += found
     return out

@@ -5,13 +5,17 @@ that is not a proper power of a shorter walk, with the basepoint forgotten.
 The kernel's search emits each cycle once, in canonical form: the
 lexicographically least rotation of its edge-index sequence.
 Direction is kept: a cycle and its opposite (reverse traversal through dual
-edges) are distinct.  Any r >= 3 is accepted.  The search from each vertex
-stays in the ball of radius r // 2 around it, since a walk cannot get back
-in the steps left from any farther out, so its cost grows like
-ell^ceil(r/2) per vertex rather than ell^r.  `census` folds the walks into
-spine counts and taint through per-edge flags, so no cycle is ever built as
-an object; a caller that needs the cycles themselves lists them with
-`_kernel.closed_walks` over the arrays of `_edges`.
+edges) are distinct.  Any r >= 3 is accepted.  The search meets in the
+middle: from each start vertex v it grows the heads of ceil(r/2) edges
+forwards and the tails of r // 2 edges backwards into v, through in-edges
+(the dual pairing is not an involution at j = 0 and 1728, so a tail is not
+a head reversed), and joins each head to the tails at its end.  Both halves
+keep to the vertices >= v and the edges >= the start edge, so each cycle is
+still found once, as its least rotation, and the walks still come out
+sorted.  `census` folds the walks into spine counts and taint through
+per-edge flags, so no cycle is ever built as an object; a caller that needs
+the cycles themselves lists them with `_kernel.closed_walks` over the
+arrays of `_edges`.
 
 Backtracking is decided by a fixed pairing of parallel edge copies: copy c
 of u -> v is paired with copy c mod m of v -> u, where m is the multiplicity

@@ -1,4 +1,8 @@
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spinecycles import _kernel, cycles, predictor, ssgraph
 from spinecycles.arith import primes_in
@@ -193,28 +197,69 @@ def _closed_walks_by_dfs(edges, r: int) -> list[tuple[int, ...]]:
         pytest.param(23, 2, range(2, 13), id="23"),
         pytest.param(47, 2, range(2, 13), id="47"),
         pytest.param(1019, 3, range(3, 7), id="1019-3"),
-        pytest.param(4099, 2, range(3, 9), id="4099-2"),
+        pytest.param(4099, 2, range(3, 11), id="4099-2"),
+        pytest.param(1009, 2, [10], id="1009-2-10"),
+        pytest.param(101, 5, range(3, 7), id="101-5"),
     ],
 )
 def test_closed_walks_match_brute_force(p, ell, lengths):
     g = ssgraph.build_graph(p, ell)
     edges = cycles._edges(g)
-    _, edge_to, dual, vert_start = edges
+    src, edge_to, dual, vert_start = edges
+    want = {r: _closed_walks_by_dfs(edges, r) for r in lengths}
+    revisits = any(src[w[0]] in {src[e] for e in w[1:]} for walks in want.values() for w in walks)
     if p < 50:
         # ell = 2 at p = 23, 47: loops, parallel edges, and both j = 0 and j = 1728
         assert {(0, 0), (1728 % p, 0)} <= set(g.vertices)
         assert any(u == v for u, row in enumerate(g.out_edges) for v, _ in row)
         assert any(m > 1 for row in g.out_edges for _, m in row)
+        # and a dual that is not an involution, so tails cannot be reversed heads
+        assert any(dual[dual[e]] != e for e in range(len(dual)))
+    elif p == 4099:
+        # locally a tree: no walk up to the benchmark's r = 10 passes its start
+        # twice, and most heads meet their own reverse, which the junction refuses
+        assert not revisits
     else:
-        # the radius-r//2 ball misses part of the graph, so the distance prune
-        # cuts; vertex 0 is the start whose ball no vertex index is kept out of
-        for r in lengths:
-            ball = _kernel._ball(0, r // 2, edge_to, vert_start)
-            assert len(ball) < g.vertex_count, (p, r)
+        # a walk through its start vertex twice: a tail edge leaving v must be
+        # >= e0, and a second copy of e0 needs the rotation test
+        assert revisits
     for r in lengths:
-        want = _closed_walks_by_dfs(edges, r)
         got = _kernel.closed_walks(r, edge_to, dual, vert_start)
-        assert got == want, (p, r)
+        assert got == want[r], (p, r)
+
+
+@st.composite
+def _multigraphs(draw):
+    """A stand-in graph: symmetric adjacency with loops, isolated vertices and
+    parallel edges whose two directions may differ in multiplicity."""
+    n = draw(st.integers(1, 5))
+    mult = {}
+    vertex, copies = st.integers(0, n - 1), st.integers(1, 3)
+    for u, v, there, back in draw(st.lists(st.tuples(vertex, vertex, copies, copies), max_size=2 * n + 2)):
+        mult[u, v] = there
+        mult[v, u] = there if u == v else back
+    rows = tuple(tuple((v, mult[u, v]) for v in range(n) if (u, v) in mult) for u in range(n))
+    return SimpleNamespace(out_edges=rows, p=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=_multigraphs(), r=st.integers(2, 8))
+def test_closed_walks_match_brute_force_on_multigraphs(graph, r):
+    edges = cycles._edges(graph)
+    _, edge_to, dual, vert_start = edges
+    degree = max((sum(m for _, m in row) for row in graph.out_edges), default=0)
+    assume(len(edge_to) * max(degree - 1, 1) ** (r - 1) <= 200_000)  # keeps the DFS cheap
+    assert _kernel.closed_walks(r, edge_to, dual, vert_start) == _closed_walks_by_dfs(edges, r)
+
+
+@pytest.mark.parametrize(
+    "p, ell, r, count",
+    [(4099, 2, 12, 296), (4099, 2, 14, 1264), (1019, 5, 8, 48410), (1019, 7, 7, 118160)],
+    ids=["4099-2-12", "4099-2-14", "1019-5-8", "1019-7-7"],
+)
+def test_closed_walks_readme_counts(p, ell, r, count):
+    _, edge_to, dual, vert_start = cycles._edges(ssgraph.build_graph(p, ell))
+    assert len(_kernel.closed_walks(r, edge_to, dual, vert_start)) == count
 
 
 # ------------------------------------------------------------------- census --
