@@ -471,7 +471,7 @@ def _curve_for_j(j, p):
 
 
 def closed_walks(r, edge_to, edge_dual, vert_start):
-    """The primitive non-backtracking closed walks of length r, each once.
+    """The primitive non-backtracking closed walks of length r >= 3, each once.
 
     Edges are assumed grouped by source vertex: the out-edges of vertex v are
     the indices [vert_start[v], vert_start[v+1]).  A walk is rejected when an
@@ -501,19 +501,10 @@ def closed_walks(r, edge_to, edge_dual, vert_start):
     ell^(r/2) walks per start vertex, where a depth-first search would walk
     every continuation of each head until it died.  The walks of each v are
     sorted, and the start vertices put back in increasing order, so the
-    walks come out sorted.  At r = 2 there is no middle: a walk is e0 and a
-    larger edge straight back.
+    walks come out sorted.
     """
-    if r < 2:
-        raise ValueError("walk length must be at least 2")
-    if r == 2:
-        # edge_to[edge_dual[e0]] is the source of e0
-        return [
-            (e0, e)
-            for e0, w in enumerate(edge_to)
-            for e in range(max(vert_start[w], e0 + 1), vert_start[w + 1])
-            if edge_to[e] == edge_to[edge_dual[e0]] and e != edge_dual[e0] and edge_dual[e] != e0
-        ]
+    if r < 3:
+        raise ValueError("cycle length must be at least 3")
     n = len(vert_start) - 1
     into = [[] for _ in range(n)]  # in-edges from the vertices >= v
     per_vertex = []

@@ -10,8 +10,10 @@ census ... -o FILE         per-prime CSV sweep, optional graph oracle
 validate ...               enforce formula/graph agreement and per-cycle laws
 residues L R -o FILE       residue-class census (modulus + sampled entries)
 
-`census --oracle` and `validate` count cycles through `cycles.census` and
-need r >= 3, checked before any graph is built; there is no upper cap on r.
+`census` and `validate` compute every row with `_census_row`; `validate` applies
+its laws to the rows.  `census --oracle` and `validate` count cycles through
+`cycles.census` and need r >= 3, checked before any graph is built; there is
+no upper cap on r.
 
 Exit codes: 0 success, 1 validation failure, 2 usage error, 3 internal error
 (an arithmetic invariant failed, which is a bug).  All output is
@@ -46,9 +48,11 @@ CSV_COLUMNS = (
 )
 
 
-def _fmt_q(x: Fraction | int | float | None) -> str:
+def _fmt_q(x: Fraction | int | float | bool | None) -> str:
     if x is None:
         return ""
+    if isinstance(x, bool):
+        return str(x).lower()
     if isinstance(x, Fraction):
         return str(x.numerator) if x.denominator == 1 else str(float(x))
     if isinstance(x, float):
@@ -87,16 +91,17 @@ class CensusConfig:
     skip_tainted: bool = False
 
     def __post_init__(self):
-        if not 13 < self.p_min <= self.p_max:
-            raise ValueError("need 13 < p_min <= p_max")
-        if self.jobs < 1:
-            raise ValueError(f"need jobs >= 1, got {self.jobs}")
         if self.with_oracle and self.phi_path is None and self.ell not in ssgraph.BUILTIN_LEVELS:
             raise ValueError(
                 f"no built-in modular polynomial for ell={self.ell}; pass --phi FILE"
             )
+        # before the range: a prime that validate admits is <= 13 only when r < 3
         if self.with_oracle and self.r < 3:
             raise ValueError(f"cycle length must be at least 3, got r = {self.r}")
+        if not 13 < self.p_min <= self.p_max:
+            raise ValueError("need 13 < p_min <= p_max")
+        if self.jobs < 1:
+            raise ValueError(f"need jobs >= 1, got {self.jobs}")
 
 
 @dataclass
@@ -112,6 +117,7 @@ class CensusRow:
     limit: Fraction
     tainted: bool | None
     error: str | None = None
+    cycle_census: cycles.CycleCensus | None = None  # oracle rows only
 
     @property
     def agreement(self) -> bool:
@@ -119,6 +125,11 @@ class CensusRow:
             self.n_s_graph is not None
             and (self.n_s_graph, self.n_t_graph) == (self.n_s_formula, self.n_t_formula)
         )
+
+    @property
+    def untainted_mismatch(self) -> bool:
+        """Formula and graph disagree and no cycle touches j = 0 or 1728."""
+        return not self.agreement and not self.tainted
 
 
 def _census_row(args) -> CensusRow:
@@ -132,7 +143,7 @@ def _census_row(args) -> CensusRow:
     except BoundViolation as exc:
         ns_f = nt_f = None
         err = str(exc)
-    ns_g = nt_g = spine = tainted = None
+    ns_g = nt_g = spine = tainted = cen = None
     if cfg.with_oracle:
         graph = ssgraph.build_graph(p, cfg.ell, seed=cfg.seed, phi=_load_phi(cfg.phi_path))
         cen = cycles.census(graph, cfg.r)
@@ -150,6 +161,7 @@ def _census_row(args) -> CensusRow:
         limit=limit,
         tainted=tainted,
         error=err,
+        cycle_census=cen,
     )
 
 
@@ -189,7 +201,7 @@ def _census_summary(cfg: CensusConfig, rows: list[CensusRow]) -> list[str]:
     lines.append(f"final_running_avg={_fmt_q(avg)} limit={_fmt_q(limit)}")
     if cfg.with_oracle:
         checked = [r for r in rows if r.n_s_graph is not None and not r.error]
-        bad = [r for r in checked if not r.agreement and not r.tainted]
+        bad = [r for r in checked if r.untainted_mismatch]
         lines.append(f"oracle_rows={len(checked)} mismatched_untainted={len(bad)}")
         for r in bad[:20]:
             lines.append(
@@ -216,22 +228,12 @@ def write_census_csv(rows: list[CensusRow], path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for r in rows:
-            agreement = "" if r.n_s_graph is None else str(r.agreement).lower()
-            tainted = "" if r.tainted is None else str(r.tainted).lower()
+            agreement = None if r.n_s_graph is None else r.agreement
             fields = (
-                str(r.p),
-                "" if r.n_s_formula is None else str(r.n_s_formula),
-                "" if r.n_t_formula is None else str(r.n_t_formula),
-                "" if r.n_s_graph is None else str(r.n_s_graph),
-                "" if r.n_t_graph is None else str(r.n_t_graph),
-                "" if r.spine_size is None else str(r.spine_size),
-                str(r.vertex_count),
-                "" if r.running_avg is None else f"{r.running_avg:.6g}",
-                _fmt_q(r.limit),
-                agreement,
-                tainted,
+                r.p, r.n_s_formula, r.n_t_formula, r.n_s_graph, r.n_t_graph, r.spine_size,
+                r.vertex_count, r.running_avg, r.limit, agreement, r.tainted,
             )
-            fh.write(",".join(fields) + "\n")
+            fh.write(",".join(map(_fmt_q, fields)) + "\n")
 
 
 # -------------------------------------------------------------- validate ----
@@ -240,14 +242,14 @@ def write_census_csv(rows: list[CensusRow], path: str) -> None:
 def run_validate(ell: int, r: int, primes: list[int], phi_path=None) -> tuple[bool, list[str]]:
     """Check formula/graph agreement and per-cycle spine laws at given primes.
 
-    Enforced (failures flip the exit code) for non-power-of-two r:
+    Every prime is admitted before any graph is built; the laws then apply to
+    the rows of `_census_row`, as `census --oracle` computes them.  Enforced
+    (failures flip the exit code) for non-power-of-two r:
       * untainted formula/graph equality, when p also clears max(M, M_strong)
       * per-cycle spine counts in {0,1} (odd r) / {0,2} (even r), untainted
       * n_t even; n_s even for odd r
     For r a power of two everything is reported but nothing enforced.
     """
-    if r < 3:
-        raise ValueError(f"cycle length must be at least 3, got r = {r}")
     if not primes:
         raise ValueError("no primes to validate")
     bound = predictor.kaneko_bound(ell, r)
@@ -261,15 +263,20 @@ def run_validate(ell: int, r: int, primes: list[int], phi_path=None) -> tuple[bo
             raise ValueError(f"{p} is not an admissible prime")
         if p <= gate:
             raise ValueError(f"p = {p} does not exceed the applicable bound {float(gate)}")
+    lo, hi = min(primes), max(primes)
+    cfg = CensusConfig(ell, r, lo, hi, with_oracle=True, output="", average_start=lo, phi_path=phi_path)
     for p in primes:
-        graph = ssgraph.build_graph(p, ell, phi=_load_phi(phi_path))
-        cen = cycles.census(graph, r)
-        sp = predictor.predict(ell, r, p)
+        row = _census_row((p, cfg))
+        if row.error:
+            raise BoundViolation(row.error)
+        cen = row.cycle_census
+        formula = f"({row.n_s_formula},{row.n_t_formula})"
+        graph = f"({row.n_s_graph},{row.n_t_graph})"
         problems = []  # (message, enforced); nothing is enforced for r a power of two
-        if (cen.n_s_graph, cen.n_t_graph) != (sp.n_s, sp.n_t) and not cen.tainted_present:
+        if row.untainted_mismatch:
             below = p <= bound.operative
             problems.append((
-                f"formula=({sp.n_s},{sp.n_t}) != graph=({cen.n_s_graph},{cen.n_t_graph})"
+                f"formula={formula} != graph={graph}"
                 + (" [below operative bound: reported only]" if below else ""),
                 not (experimental or below),
             ))
@@ -278,17 +285,17 @@ def run_validate(ell: int, r: int, primes: list[int], phi_path=None) -> tuple[bo
                 f"histogram support {sorted(cen.untainted_support)} not within {sorted(allowed_support)}",
                 not experimental,
             ))
-        if cen.n_t_graph % 2:
-            problems.append((f"n_t_graph={cen.n_t_graph} odd", not experimental))
-        if r % 2 and cen.n_s_graph % 2:
-            problems.append((f"n_s_graph={cen.n_s_graph} odd", not experimental))
+        if row.n_t_graph % 2:
+            problems.append((f"n_t_graph={row.n_t_graph} odd", not experimental))
+        if r % 2 and row.n_s_graph % 2:
+            problems.append((f"n_s_graph={row.n_s_graph} odd", not experimental))
         failed = any(enforced for _, enforced in problems)
         ok = ok and not failed
         status = "FAIL" if failed else ("reported" if problems else "ok")
         hist = dict(sorted(cen.spine_count_histogram.items()))
         lines.append(
-            f"p={p} formula=({sp.n_s},{sp.n_t}) graph=({cen.n_s_graph},{cen.n_t_graph})"
-            f" hist={hist} tainted={str(cen.tainted_present).lower()} {status}"
+            f"p={p} formula={formula} graph={graph}"
+            f" hist={hist} tainted={_fmt_q(row.tainted)} {status}"
         )
         for q, enforced in problems:
             lines.append(f"  {'VIOLATION' if enforced else 'NOTE'}: {q}")

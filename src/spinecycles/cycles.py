@@ -75,8 +75,6 @@ def _edges(graph: IsogenyGraph) -> tuple[list[int], list[int], list[int], list[i
 
 def census(graph: IsogenyGraph, r: int) -> CycleCensus:
     """Counts, the per-cycle spine-vertex histogram and its untainted support."""
-    if r < 3:
-        raise ValueError("cycle length must be at least 3")
     src, edge_to, dual, vert_start = _edges(graph)
     special = ((0, 0), (1728 % graph.p, 0))
     on_spine = [graph.spine[u] for u in src]

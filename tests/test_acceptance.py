@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, one printed verdict line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines; the full suite takes about three minutes on a 2-core machine, most
+lines; the full suite takes about 15 seconds on a 2-core machine, most
 of it building the graphs of criteria 06 and 09.  Tolerances are pinned
 here and nowhere else.
 """

@@ -366,6 +366,76 @@ def test_validate_enumerates_once_per_prime(capsys, monkeypatch):
     assert calls == [3, 3, 3]
 
 
+def test_both_subcommands_compute_rows_through_census_row(capsys, monkeypatch, tmp_path):
+    # one per-prime path: the benchmark's per-prime probe wraps this function
+    seen = []
+    real = cli._census_row
+
+    def counted(args):
+        seen.append(args[0])
+        return real(args)
+
+    monkeypatch.setattr(cli, "_census_row", counted)
+    code, _, _ = run(
+        capsys,
+        "census", "--ell", "2", "--r", "3", "--pmin", "170", "--pmax", "200",
+        "--oracle", "-o", str(tmp_path / "c.csv"),
+    )
+    assert code == 0 and seen == [173, 179, 181, 191, 193, 197, 199]
+    seen.clear()
+    code, _, _ = run(capsys, "validate", "--ell", "2", "--r", "3", "--primes", "179,181,191")
+    assert code == 0 and seen == [179, 181, 191]
+
+
+def _taint_every_graph(monkeypatch):
+    """Make every census tainted, with counts 2 above the formula's.
+
+    Adding 2 keeps n_s and n_t even, so only the agreement law could fire.
+    """
+    real = cycles.census
+
+    def census(graph, r):
+        cen = real(graph, r)
+        return dataclasses.replace(
+            cen, n_s_graph=cen.n_s_graph + 2, n_t_graph=cen.n_t_graph + 2, tainted_present=True
+        )
+
+    monkeypatch.setattr(cycles, "census", census)
+
+
+def test_census_exempts_tainted_mismatch(capsys, monkeypatch, tmp_path):
+    _taint_every_graph(monkeypatch)
+    out_csv = tmp_path / "tainted.csv"
+    code, out, _ = run(
+        capsys,
+        "census", "--ell", "3", "--r", "3", "--pmin", "2789", "--pmax", "2791",
+        "--oracle", "-o", str(out_csv),
+    )
+    assert code == 0
+    assert "oracle_rows=2 mismatched_untainted=0" in out and "MISMATCH" not in out
+    rows = [dict(zip(cli.CSV_COLUMNS, ln.split(","))) for ln in out_csv.read_text().splitlines()[1:]]
+    assert [(row["agreement"], row["tainted"]) for row in rows] == [("false", "true")] * 2
+
+
+def test_validate_exempts_tainted_mismatch(capsys, monkeypatch):
+    _taint_every_graph(monkeypatch)
+    code, out, _ = run(capsys, "validate", "--ell", "3", "--r", "3", "--primes", "2789")
+    assert code == 0
+    assert out.splitlines() == ["p=2789 formula=(6,6) graph=(8,8) hist={1: 6} tainted=true ok"]
+
+
+def test_validate_row_error_is_usage_error(capsys, monkeypatch):
+    # the gate keeps every tabulated pair clear of predict's own bound; a row
+    # that still carries one of its errors stops validate with exit 2
+    def refuse(ell, r, p):
+        raise predictor.BoundViolation(f"p = {p} refused")
+
+    monkeypatch.setattr(predictor, "predict", refuse)
+    code, out, err = run(capsys, "validate", "--ell", "3", "--r", "3", "--primes", "2789")
+    assert code == 2
+    assert out == "" and err == "error: p = 2789 refused\n"
+
+
 def test_validate_rejects_prime_below_bound(capsys):
     code, _, err = run(capsys, "validate", "--ell", "3", "--r", "3", "--primes", "2777")
     assert code == 2
@@ -387,6 +457,7 @@ def test_validate_checks_every_prime_before_building(capsys, monkeypatch, primes
 @pytest.mark.parametrize("argv", [
     ("census", "--ell", "2", "--r", "2", "--pmin", "101", "--pmax", "113", "--oracle", "-o"),
     ("validate", "--ell", "2", "--r", "2", "--primes", "101,103"),
+    ("validate", "--ell", "2", "--r", "2", "--primes", "5,7"),  # above the (2, 2) gate of 4
 ])
 def test_cycle_length_below_three_is_usage_error(capsys, monkeypatch, tmp_path, argv):
     def refuse(*_args, **_kwargs):

@@ -158,10 +158,12 @@ def test_no_backtracking_including_wraparound(graph_4643_3):
 
 
 def test_depth_limits(graph_101_2):
-    with pytest.raises(ValueError):
-        census(graph_101_2, 2)
-    # no upper cap: lengths above 10 enumerate like any other
     _, edge_to, dual, vert_start = cycles._edges(graph_101_2)
+    with pytest.raises(ValueError, match="at least 3"):
+        census(graph_101_2, 2)
+    with pytest.raises(ValueError, match="at least 3"):
+        _kernel.closed_walks(2, edge_to, dual, vert_start)
+    # no upper cap: lengths above 10 enumerate like any other
     found = _kernel.closed_walks(11, edge_to, dual, vert_start)
     assert found and all(len(walk) == 11 for walk in found)
     assert census(graph_101_2, 11).n_t_graph == len(found)
@@ -194,8 +196,8 @@ def _closed_walks_by_dfs(edges, r: int) -> list[tuple[int, ...]]:
 @pytest.mark.parametrize(
     "p, ell, lengths",
     [
-        pytest.param(23, 2, range(2, 13), id="23"),
-        pytest.param(47, 2, range(2, 13), id="47"),
+        pytest.param(23, 2, range(3, 13), id="23"),
+        pytest.param(47, 2, range(3, 13), id="47"),
         pytest.param(1019, 3, range(3, 7), id="1019-3"),
         pytest.param(4099, 2, range(3, 11), id="4099-2"),
         pytest.param(1009, 2, [10], id="1009-2-10"),
@@ -243,7 +245,7 @@ def _multigraphs(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(graph=_multigraphs(), r=st.integers(2, 8))
+@given(graph=_multigraphs(), r=st.integers(3, 8))
 def test_closed_walks_match_brute_force_on_multigraphs(graph, r):
     edges = cycles._edges(graph)
     _, edge_to, dual, vert_start = edges
