@@ -20,13 +20,21 @@ inversions are plain sums over the exact family for r, and that is how they
 are computed here.  Discriminants are plain ints, and no step composes
 forms; class numbers are counted only for the n_t orbit sizes.
 
-A prediction at a prime or residue m computes one Legendre symbol
-(m|q) = m^((q-1)/2) mod q per odd prime q of the exact family's factor base
-(388 primes for 628 discriminants at ell = 5, r = 7); Jacobi
-multiplicativity and reciprocity turn those into every (D|m) and (-m|q) the
-criteria ask for.  That needs m odd and coprime to every D of the family:
-`predict` guarantees it by p > max|D|, `ResidueCensus.entry` by
-gcd(m, modulus) = 1, and a residue that breaks it raises InvariantViolation.
+A prediction at a prime or residue m takes one Legendre symbol (m|q) per
+odd prime q of the exact family's factor base (388 primes for 628
+discriminants at ell = 5, r = 7); Jacobi multiplicativity and reciprocity
+turn those into every (D|m) and (-m|q) the criteria ask for.  Base primes
+below _TABLE_CUT read (m|q) off a table of the squares mod q (161 of the
+388 at (5, 7)); the others compute m^((q-1)/2) mod q.  The criteria are
+decided for the whole family at once, one bit per discriminant in int
+masks built on first use per (ell, r): per base prime the discriminants
+that q divides, and those it divides to an odd power; the discriminants
+with 2 to an odd power; and per m mod 8 those meeting the 2-adic spine
+condition.  Each symbol of -1 XORs or ORs one mask, and the weights are
+summed over the set bits of the result.  That needs m odd and coprime to
+every D of the family: `predict` guarantees it by p > max|D|,
+`ResidueCensus.entry` by gcd(m, modulus) = 1, and a residue that breaks it
+raises InvariantViolation.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress, repeat
 from math import gcd, lcm
 
 from . import quadforms
@@ -182,71 +191,127 @@ def _orbit_count(d: int, r: int) -> int:
     return 2 * h // r
 
 
-@lru_cache(maxsize=None)
-def _symbol_table(ell: int, r: int) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
-    """The exact family's factor base, and each D factored over it.
+# Base primes q below this cut read (m|q) off a table of the squares mod q,
+# `bytes` of length q; the larger ones pay one modular power per residue.
+# The tables of one family total at most the sum of the primes below the
+# cut, about 1 MB; at (5, 7) they cover 161 of 388 base primes in 220 kB.
+_TABLE_CUT = 4096
 
-    The base is the sorted odd primes dividing some D of `disc_set_exact`.
-    Each row is (D, the base indices of the odd q with odd exponent in |D|,
-    whether 2 has odd exponent in |D|, the base indices of every odd q | D).
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _members(mask: int, discs: tuple[int, ...]):
+    """The D of `discs` whose bits are set in `mask`, bit i for discs[i]."""
+    return compress(discs, bin(mask)[:1:-1].encode().translate(_BITS))
+
+
+def _squares_mod(q: int) -> bytes:
+    """Byte x is 0 for x = 0, 1 for a nonzero square mod q and 2 otherwise.
+
+    So a byte reads like m^((q-1)/2) mod q: 0, 1, or above 1 for (m|q) = -1.
     """
-    factored = [(d, factorize(-d)) for d in disc_set_exact(ell, r)]
-    base = sorted({q for _, fac in factored for q, _ in fac if q > 2})
-    at = {q: i for i, q in enumerate(base)}
-    rows = tuple(
-        (
-            d,
-            tuple(at[q] for q, e in fac if q > 2 and e % 2),
-            any(q == 2 and e % 2 for q, e in fac),
-            tuple(at[q] for q, _ in fac if q > 2),
+    table = bytearray(b"\x02") * q
+    table[0] = 0
+    for x in range(1, q // 2 + 1):
+        table[x * x % q] = 1
+    return bytes(table)
+
+
+@dataclass(frozen=True)
+class _MaskTable:
+    """The exact family as bit masks over its factor base, bit i for discs[i]."""
+
+    discs: tuple[int, ...]
+    every: int
+    two: int  # the D with 2 to an odd power in |D|
+    spine_mod8: tuple[int, ...]  # by m % 8: the D meeting the 2-adic spine condition
+    # per odd base prime q: the table of squares mod q (None from _TABLE_CUT
+    # on), the D with q to an odd power in |D|, the D with q | D, q = 3 (4)
+    base: tuple[tuple[int, bytes | None, int, int, bool], ...]
+
+
+@lru_cache(maxsize=None)
+def _mask_table(ell: int, r: int) -> _MaskTable:
+    discs = disc_set_exact(ell, r).values()
+    two = 0
+    odd: dict[int, int] = {}
+    divides: dict[int, int] = {}
+    for i, d in enumerate(discs):
+        for q, e in factorize(-d):
+            if q == 2:
+                two |= (e & 1) << i
+            else:
+                odd[q] = odd.get(q, 0) | (e & 1) << i
+                divides[q] = divides.get(q, 0) | 1 << i
+    spine_mod8 = tuple(
+        sum(
+            1 << i
+            for i, d in enumerate(discs)
+            if d % 4 or m8 == 7 or (d // 4 - m8) % 8 in (0, 1, 4) or (d - m8) % 8 == 1
         )
-        for d, fac in factored
+        for m8 in range(8)
     )
-    return tuple(base), rows
+    base = tuple(
+        (q, _squares_mod(q) if q < _TABLE_CUT else None, odd[q], divides[q], q & 3 == 3)
+        for q in sorted(odd)
+    )
+    return _MaskTable(discs, (1 << len(discs)) - 1, two, spine_mod8, base)
+
+
+def _shares_a_prime(m: int) -> InvariantViolation:
+    return InvariantViolation(f"residue {m} is even or shares a prime with a discriminant of the family")
 
 
 def _counts_at_residue(ell: int, r: int, m: int) -> tuple[int, int]:
-    """(n_s, n_t) at a prime or residue m, from one Legendre symbol per base prime.
+    """(n_s, n_t) at a prime or residue m, by mask algebra over the family.
 
     A D of the exact family counts towards n_t when m is inert in O_D,
     (D|m) = -1, and towards n_s (weighted by h2(D)) when moreover
     (-m|q) = 1 at every odd q | D and, for 4 | D, one of the mod-8
     conditions m = 7 (8), -m + D/4 in {0, 1, 4} (8), -m + D = 1 (8) holds.
     With |D| = 2^a * prod q^e and m odd and coprime to every D, the
-    symbols all follow from L[q] = (m|q) at the odd primes q of the base:
+    symbols all follow from (m|q) at the odd primes q of the base:
 
       (D|m)  = (-1|m) * (2|m)^a * prod (q|m)^e
       (q|m)  = (m|q) * (-1)^((q-1)/2 * (m-1)/2)
       (-m|q) = (-1)^((q-1)/2) * (m|q)
-      (m|q)  = m^((q-1)/2) mod q
+
+    Each criterion is then one bit per D, and the family is handled at
+    once by int bit masks from `_mask_table`: `inert` starts at every D
+    when m = 3 (4), XORs the D with odd a when m = 3, 5 (8), and XORs
+    the D with odd e at each q with (q|m) = -1; `blocked` ORs the D
+    divisible by each q with (-m|q) = -1; and the spine D are
+    inert & ~blocked & (the D meeting the mod-8 condition at m % 8).
+    (m|q) is read off the table of squares mod q for q < _TABLE_CUT and
+    is m^((q-1)/2) mod q from there on.
 
     A residue m = 0 mod q would read as (m|q) = 0 and must never be
     taken for -1, so an even m or one sharing a prime with a D raises
     InvariantViolation.  Both callers rule it out: `predict` by p > max|D|,
-    `ResidueCensus.entry` by gcd(m, modulus) = 1.
+    `ResidueCensus.entry` by gcd(m, modulus) = 1.  The weights 2h/r and
+    h2 are looked up D by D over the set bits, so a class number is
+    computed only for a D inert at some m.
     """
-    base, rows = _symbol_table(ell, r)
-    raw = [pow(m, q >> 1, q) for q in base]
-    if 0 in raw or not m & 1:
-        raise InvariantViolation(f"residue {m} is even or shares a prime with a discriminant of the family")
+    if not m & 1:
+        raise _shares_a_prime(m)
+    t = _mask_table(ell, r)
     m3 = m & 3 == 3  # (-1|m) = -1
-    two = m & 7 in (3, 5)  # (2|m) = -1
-    # per base prime, whether a symbol is -1: (m|q); (-m|q), which differs
-    # from it when q = 3 (4); (q|m), which differs from it when q = m = 3 (4)
-    m_q = [x != 1 for x in raw]
-    neg_m_q = [x ^ (q & 3 == 3) for x, q in zip(m_q, base)]
-    q_m = neg_m_q if m3 else m_q
-    n_s = n_t = 0
-    for d, odd, a_odd, every in rows:
-        inert = m3 ^ (two and a_odd)
-        for i in odd:
-            inert ^= q_m[i]
-        if inert:
-            n_t += _orbit_count(d, r)
-            if not any(neg_m_q[i] for i in every) and (
-                d % 4 or m % 8 == 7 or (d // 4 - m) % 8 in (0, 1, 4) or (d - m) % 8 == 1
-            ):
-                n_s += quadforms.h2(d)
+    inert = t.every if m3 else 0
+    if m & 7 in (3, 5):  # (2|m) = -1
+        inert ^= t.two
+    blocked = 0
+    for q, squares, odd, divides, q3 in t.base:
+        s = squares[m % q] if squares else pow(m, q >> 1, q)
+        if not s:
+            raise _shares_a_prime(m)
+        minus = s > 1  # (m|q) = -1
+        if minus ^ q3:  # (-m|q) = -1
+            blocked |= divides
+        if minus ^ (q3 & m3):  # (q|m) = -1
+            inert ^= odd
+    spine = inert & ~blocked & t.spine_mod8[m & 7]
+    n_t = sum(map(_orbit_count, _members(inert, t.discs), repeat(r)))
+    n_s = sum(map(quadforms.h2, _members(spine, t.discs)))
     return (2 * n_s if r % 2 else n_s), n_t
 
 

@@ -139,8 +139,8 @@ def test_kaneko_operative_dominates_discriminants():
 # ---------------------------------------------------------------- delta_p  --
 #
 # The per-discriminant criterion, one Kronecker symbol at a time: the oracle
-# for `_counts_at_residue`, which reads every symbol off one Legendre symbol
-# per prime of the family's factor base.
+# for `_counts_at_residue`, which decides the whole family at once by bit
+# masks over one Legendre symbol per prime of the family's factor base.
 
 
 @lru_cache(maxsize=None)
@@ -217,9 +217,38 @@ def test_counts_match_oracle_at_every_benchmark_prime(weights_by_disc):
         assert pr._counts_at_residue(5, 7, p) == _oracle_counts(5, 7, p), p
 
 
-@pytest.mark.parametrize("ell,r", [(3, 3), (2, 6), (5, 7), (3, 5)])
+def test_counts_match_oracle_above_the_largest_disc_at_7_5(weights_by_disc):
+    # (5, 7) has no D with 2 to an odd power in |D|; 69 of the 346 D at
+    # (7, 5) do, and its base primes lie on both sides of _TABLE_CUT
+    assert sum(dict(factorize(-d)).get(2, 0) % 2 for d in pr.disc_set_exact(7, 5)) == 69
+    primes = primes_in(pr._largest_abs_disc(7, 5) + 1, 69000)
+    assert len(primes) == 155
+    for p in primes:
+        assert pr._counts_at_residue(7, 5, p) == _oracle_counts(7, 5, p), p
+
+
+def test_class_numbers_stay_lazy(monkeypatch):
+    # a cold predict weighs only the D inert at p: 305 of 628 at (5, 7)
+    p = 312509
+    weighed = []
+    monkeypatch.setattr(pr, "_orbit_count", lambda d, r: weighed.append(d) or -d)
+    pr.predict(5, 7, p)
+    inert = [d for d in pr.disc_set_exact(5, 7) if kronecker(d, p) == -1]
+    assert weighed == inert
+    assert len(inert) == 305
+
+
+def test_squares_table_reads_like_euler():
+    for q in (3, 5, 7, 13, 4093):
+        table = pr._squares_mod(q)
+        assert len(table) == q
+        assert [min(b, 2) for b in table] == [min(pow(x, q >> 1, q), 2) for x in range(q)]
+
+
+@pytest.mark.parametrize("ell,r", [(3, 3), (2, 6), (5, 7), (3, 5), (7, 5)])
 def test_residue_entries_match_oracle(weights_by_disc, ell, r):
-    # odd and even r, and 4 | D (the mod-8 branch, e.g. -104 at (3, 3))
+    # odd and even r, and 4 | D (the mod-8 branch, e.g. -104 at (3, 3));
+    # (7, 5) for the D with 2 to an odd power in |D|
     rc = pr.residue_census(ell, r)
     rng = random.Random(ell * 100 + r)
     checked = 0
@@ -236,6 +265,14 @@ def test_counts_refuse_a_residue_sharing_a_prime_with_the_family(m):
     # be read as -1, nor an even m (not coprime to -104) be counted at all
     with pytest.raises(InvariantViolation, match=f"residue {m} "):
         pr._counts_at_residue(3, 3, m)
+
+
+def test_counts_refuse_a_base_prime_above_the_table_cut():
+    # 312451, the largest prime of the (5, 7) base, has no table of squares:
+    # its symbol 0 comes from the modular power
+    assert 312451 >= pr._TABLE_CUT
+    with pytest.raises(InvariantViolation, match="residue 312451 "):
+        pr._counts_at_residue(5, 7, 312451)
 
 
 # ------------------------------------------------------------------ predict --
