@@ -17,12 +17,16 @@ F_{p^2} is F_p[w] with w^2 = s for a quadratic nonresidue s; elements are
 (a, b) pairs meaning a + b*w.  Polynomials are lists of such pairs, index =
 degree.
 
-Root finding first divides f once by (Y - c) for each root c the caller
-already knows, and searches only the quotient.  A linear quotient is read
-off.  A quadratic is solved in closed form: its discriminant is a square of
-F_{p^2} iff its norm is a square of F_p (a Legendre symbol), and the square
-root comes from two square roots in F_p by Tonelli-Shanks with the
-nonresidue s (Adj and Rodriguez-Henriquez 2014).  A nonsquare discriminant
+Root finding first divides f by (Y - c) for each root c the caller already
+knows, by one synthetic division per c over plain ints (a remainder means
+c was no root, and the answer is None), and searches only the quotient.
+`PhiMod.roots` specializes Phi_ell(j, Y) in the same pass: the powers of j
+are ints, and each coefficient sums only the nonzero entries of its column
+of Phi_ell.  A linear quotient is read off.  A quadratic is solved in
+closed form: its discriminant is a square of F_{p^2} iff its norm is a
+square of F_p (a Legendre symbol), and the square root comes from two
+square roots in F_p by Tonelli-Shanks with the nonresidue s (Adj and
+Rodriguez-Henriquez 2014).  A nonsquare discriminant
 means f does not split.  A cubic is solved by Cardano's formulas: shifted to
 X^3 + P X + Q, its roots are u + v, u zeta + v zeta^2 and u zeta^2 + v zeta
 for zeta a primitive cube root of unity (always in F_{p^2}), u^3 a root of
@@ -48,7 +52,8 @@ the next split.  A part of degree 3 or less is finished by the closed forms
 above instead of another splitting power; it splits by construction, so a
 closed form that finds no roots there is an arithmetic error.  The alphas
 come from a splitmix64 stream, so results are reproducible from the seed
-(and are sorted, so any seed yields the same output).
+(and are sorted, so any seed yields the same output); the stream is seeded
+only when a quotient reaches Cantor-Zassenhaus.
 """
 
 from functools import lru_cache
@@ -92,14 +97,15 @@ def _f2_inv(x, p, s):
 
 
 def _f2_pow(x, n, p, s):
-    result = (1, 0)
+    xa, xb = x
+    ra, rb = 1, 0
     while n:
         if n & 1:
-            result = _f2_mul(result, x, p, s)
+            ra, rb = (ra * xa + s * rb * xb) % p, (ra * xb + rb * xa) % p
         n >>= 1
         if n:
-            x = _f2_mul(x, x, p, s)
-    return result
+            xa, xb = (xa * xa + s * xb * xb) % p, 2 * xa * xb % p
+    return ra, rb
 
 
 # -- polynomial helpers; f is a list of (a, b), f[i] the degree-i coefficient --
@@ -396,14 +402,57 @@ def _split_roots(f, p, s, rng):
     roots = []
     rem = f
     for c in sorted(_cz_distinct_roots(split_part, yp, p, s, rng)):
-        factor = [((p - c[0]) % p, (p - c[1]) % p), (1, 0)]
         while len(rem) > 1:
-            q, r = _p_divmod(rem, factor, p, s)
-            if r:
+            q = _deflate(rem, (c,), p, s)
+            if q is None:
                 break
             roots.append(c)
             rem = q
     return None if len(rem) > 1 else roots
+
+
+def _deflate(f, known, p, s):
+    """f divided by (Y - c) for each c in `known`, or None if one leaves a remainder.
+
+    Synthetic division: the quotient's coefficients are q_(n-1) = f_n and
+    q_(i-1) = f_i + c q_i, and the remainder f_0 + c q_0.
+    """
+    for ca, cb in known:
+        qa, qb = f[-1]
+        q = [None] * (len(f) - 1)
+        for i in range(len(f) - 2, -1, -1):
+            q[i] = (qa, qb)
+            fa, fb = f[i]
+            qa, qb = (fa + ca * qa + s * cb * qb) % p, (fb + ca * qb + cb * qa) % p
+        if qa or qb:
+            return None
+        f = q
+    return f
+
+
+def _monic(coeffs, p, s):
+    f = _p_strip([(a % p, b % p) for a, b in coeffs])
+    if not f:
+        raise ValueError("zero polynomial")
+    if len(f) - 1 > MAX_POLY_DEGREE:
+        raise ValueError("degree above kernel capacity")
+    return _p_monic(f, p, s)
+
+
+def _roots_given(f, known, p, s, seed_of):
+    """The roots of monic f, sorted, given distinct roots `known`; None if f does not split.
+
+    Only a quotient of degree 4 or more goes to Cantor-Zassenhaus, and only
+    then is its seed drawn, as seed_of().
+    """
+    f = _deflate(f, known, p, s)
+    if f is None:
+        return None
+    if len(f) <= 4:
+        roots = _low_degree_roots(f, p, s)
+    else:
+        roots = _split_roots(f, p, s, _SplitMix(_mix64(seed_of() & _MASK64) ^ len(f)))
+    return None if roots is None else sorted([*known, *roots])
 
 
 def poly_roots(p, s, coeffs, seed, known=()):
@@ -414,21 +463,7 @@ def poly_roots(p, s, coeffs, seed, known=()):
     result is `known` plus the quotient's roots.  A c that is not a root of f
     leaves a remainder, and the answer is None.
     """
-    f = _p_strip([(a % p, b % p) for a, b in coeffs])
-    if not f:
-        raise ValueError("zero polynomial")
-    if len(f) - 1 > MAX_POLY_DEGREE:
-        raise ValueError("degree above kernel capacity")
-    f = _p_monic(f, p, s)
-    for a, b in known:
-        f, r = _p_divmod(f, [((p - a) % p, (p - b) % p), (1, 0)], p, s)
-        if r:
-            return None
-    if len(f) <= 4:
-        roots = _low_degree_roots(f, p, s)
-    else:
-        roots = _split_roots(f, p, s, _SplitMix(_mix64(seed & _MASK64) ^ len(f)))
-    return None if roots is None else sorted([*known, *roots])
+    return _roots_given(_monic(coeffs, p, s), known, p, s, lambda: seed)
 
 
 class PhiMod:
@@ -438,27 +473,35 @@ class PhiMod:
         d = ell + 2
         if len(rows) != d or any(len(r) != d for r in rows):
             raise ValueError("coefficient matrix must be (ell+2) x (ell+2)")
+        if d - 1 > MAX_POLY_DEGREE:
+            raise ValueError("degree above kernel capacity")
         self.p = p
         self.s = s
         self.ell = ell
-        self.rows = [[c % p for c in row] for row in rows]
+        # column k holds the nonzero (i, c) of the coefficient of Y^k, sum c X^i
+        self.columns = [[(i, rows[i][k] % p) for i in range(d) if rows[i][k] % p] for k in range(d)]
 
     def roots(self, ja, jb, seed, known=()):
         p, s = self.p, self.s
-        deg = self.ell + 1
-        jpow = [(1, 0)]
-        for _ in range(deg):
-            jpow.append(_f2_mul(jpow[-1], (ja, jb), p, s))
-        coeffs = []
-        for k in range(deg + 1):
+        pa, pb = [1], [0]  # the powers of j = ja + jb*w
+        xa, xb = 1, 0
+        for _ in range(self.ell + 1):
+            xa, xb = (xa * ja + s * xb * jb) % p, (xa * jb + xb * ja) % p
+            pa.append(xa)
+            pb.append(xb)
+        f = []
+        for column in self.columns:
             ca = cb = 0
-            for i in range(deg + 1):
-                c = self.rows[i][k]
-                if c:
-                    ca += c * jpow[i][0]
-                    cb += c * jpow[i][1]
-            coeffs.append((ca % p, cb % p))
-        return poly_roots(p, s, coeffs, _mix64(seed & _MASK64) ^ _mix64((ja << 20) ^ jb ^ 1), known)
+            for i, c in column:
+                ca += c * pa[i]
+                cb += c * pb[i]
+            f.append((ca % p, cb % p))
+        # a modular polynomial is monic in Y; a table read from a file may not be
+        if f[-1] != (1, 0):
+            f = _monic(f, p, s)
+        return _roots_given(
+            f, known, p, s, lambda: _mix64(seed & _MASK64) ^ _mix64((ja << 20) ^ jb ^ 1)
+        )
 
 
 def _curve_for_j(j, p):

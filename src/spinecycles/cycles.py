@@ -55,21 +55,28 @@ def _edges(graph: IsogenyGraph) -> tuple[list[int], list[int], list[int], list[i
     src: list[int] = []
     edge_to: list[int] = []
     vert_start = [0]
-    first: dict[tuple[int, int], tuple[int, int]] = {}  # (u, v) -> (index of copy 0, multiplicity)
+    first: list[dict[int, tuple[int, int]]] = []  # per u: v -> (index of copy 0 of u -> v, multiplicity)
     for u, row in enumerate(graph.out_edges):
+        targets = {}
         for v, mult in row:
-            first[u, v] = (len(src), mult)
-            src += [u] * mult
+            targets[v] = (len(edge_to), mult)
             edge_to += [v] * mult
-        vert_start.append(len(src))
+        first.append(targets)
+        src += [u] * (len(edge_to) - vert_start[-1])
+        vert_start.append(len(edge_to))
     dual: list[int] = []
-    for (u, v), (_, mult) in first.items():  # insertion order is edge order
-        if (v, u) not in first:
-            raise InvariantViolation(
-                f"adjacency is not symmetric at p = {graph.p}: edge {u} -> {v} has no reverse"
-            )
-        start, back = first[v, u]
-        dual += [start + c % back for c in range(mult)]
+    for u, targets in enumerate(first):
+        for v, (_, mult) in targets.items():  # insertion order is edge order
+            back = first[v].get(u)
+            if back is None:
+                raise InvariantViolation(
+                    f"adjacency is not symmetric at p = {graph.p}: edge {u} -> {v} has no reverse"
+                )
+            start, count = back
+            if mult == 1:
+                dual.append(start)
+            else:
+                dual += [start + c % count for c in range(mult)]
     return src, edge_to, dual, vert_start
 
 

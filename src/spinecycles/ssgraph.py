@@ -12,9 +12,12 @@ spine is flagged as the b == 0 locus.  Off the spine the kernel finds roots
 at one vertex of each Frobenius pair (a, b), (a, -b) and the other row is
 its conjugate.  Phi_ell is symmetric, so every built vertex whose row lists
 v is a root at v: the kernel is handed those and divides them out before it
-searches.  The vertex-count identity floor((p-1)/12) + eps is enforced as a
-hard postcondition so that any arithmetic defect fails loudly instead of
-corrupting a census.
+searches.  So the closure is breadth-first with one exception: a vertex
+that two built rows list is built next, ahead of the queue, since two known
+roots leave the kernel a quadratic at ell = 3 where one leaves a cubic.
+The vertex set and every row are the same in any order.  The vertex-count
+identity floor((p-1)/12) + eps is enforced as a hard postcondition so that
+any arithmetic defect fails loudly instead of corrupting a census.
 
 Built-in coefficient tables cover ell in {2, 3, 5, 7}; the same text format
 ("i j coefficient" per line, '#' comments, symmetric completion implied) can
@@ -231,9 +234,12 @@ def build_graph(p: int, ell: int, seed: int = 0, phi: ModularPolynomialData | No
     # Phi_ell they are roots at that vertex, so the kernel need not find them
     known: dict[tuple[int, int], list[tuple[int, int]]] = {}
     queue = deque([j0])
+    ready: deque[tuple[int, int]] = deque()  # vertices with two known roots, built first
     pending = {j0}
-    while queue:
-        v = queue.popleft()
+    while ready or queue:
+        v = ready.popleft() if ready else queue.popleft()
+        if v in adjacency:
+            continue
         conj = (v[0], -v[1] % p)
         neighbours = known.pop(v, ())
         if conj in adjacency:
@@ -247,11 +253,18 @@ def build_graph(p: int, ell: int, seed: int = 0, phi: ModularPolynomialData | No
                     f"Phi_{ell}({_label(v)}, Y) does not split into {ell + 1} roots"
                     f" in F_{{p^2}} at p = {p}"
                 )
-            grouped = tuple(sorted(Counter(found).items()))
+            # the kernel returns the roots sorted
+            if len(set(found)) == len(found):
+                grouped = tuple((w, 1) for w in found)
+            else:
+                grouped = tuple(sorted(Counter(found).items()))
         adjacency[v] = grouped
         for w, _ in grouped:
             if w not in adjacency:
-                known.setdefault(w, []).append(v)
+                listed = known.setdefault(w, [])
+                listed.append(v)
+                if len(listed) == 2:
+                    ready.append(w)
             if w not in pending:
                 pending.add(w)
                 queue.append(w)

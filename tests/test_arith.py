@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from spinecycles import _kernel
 from spinecycles._kernel import _f2_mul, _p_add_const, _p_mul
 from spinecycles.arith import factorize, is_prime, kronecker, least_nonresidue, primes_in
-from spinecycles.ssgraph import build_graph
+from spinecycles.ssgraph import ModularPolynomialData, build_graph
 
 
 # ---------------------------------------------------------------- kronecker --
@@ -326,6 +326,49 @@ def test_f2_roots_match_exhaustive_evaluation(data):
     # a known value that is not a root leaves a remainder: no answer, split or not
     stranger = data.draw(element.filter(lambda x: x not in roots))
     assert _kernel.poly_roots(p, s, poly, seed, [*known, stranger]) is None
+
+
+def _linear(c, p):
+    return [(-c[0] % p, -c[1] % p), (1, 0)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_deflate_matches_long_division(data):
+    # synthetic division by (Y - c) gives the quotient of long division, and a
+    # c that leaves a remainder gives no quotient at all
+    p = data.draw(st.sampled_from((101, 4643, 20011)))
+    s = least_nonresidue(p)
+    element = st.tuples(st.integers(0, p - 1), st.integers(0, p - 1))
+    poly = st.lists(element, min_size=1, max_size=8).filter(lambda f: f[-1] != (0, 0))
+    g, c = data.draw(poly), data.draw(element)
+    f = _p_mul(g, _linear(c, p), p, s)
+    assert _kernel._p_divmod(f, _linear(c, p), p, s) == (g, [])
+    assert _kernel._deflate(f, [c], p, s) == g
+    # arbitrary f and several c, divided out in turn
+    f, known = data.draw(poly), data.draw(st.lists(element, max_size=3))
+    expected = f
+    for c in known:
+        q, r = _kernel._p_divmod(expected, _linear(c, p), p, s)
+        if r:
+            expected = None
+            break
+        expected = q
+    assert _kernel._deflate(f, known, p, s) == expected
+
+
+def test_phimod_roots_with_a_stranger_known_is_none():
+    p, ell = 4643, 3
+    phimod = _kernel.PhiMod(p, least_nonresidue(p), ell, ModularPolynomialData.load(ell).reduced_rows(p))
+    for j in ((1728, 0), (2, 0), (173, 0)):
+        found = phimod.roots(*j, 5)
+        assert found is not None and len(found) == ell + 1
+        distinct = sorted(set(found))
+        # any distinct roots may be known, and the row is the same
+        assert phimod.roots(*j, 5, distinct[:2]) == found
+        stranger = next((a, 1) for a in range(p) if (a, 1) not in found)
+        assert phimod.roots(*j, 5, [stranger]) is None
+        assert phimod.roots(*j, 5, [distinct[0], stranger]) is None
 
 
 # ------------------------------------------------------ cubes in F_{p^2} --

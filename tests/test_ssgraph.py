@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -292,6 +293,27 @@ def test_build_deterministic():
     assert a == b
     c = build_graph(1019, 5, seed=99)  # seed affects splitting paths, not output
     assert a == c
+
+
+@pytest.mark.parametrize(
+    "p, ell, digest",
+    [
+        (2797, 3, "b22f81251f76b05d877caf6f2d964fcee194142472d157c3601f723ad4cadad2"),
+        (4643, 3, "5cbfdf7614de7b8bd56ea5b7161dc1e40677de393800b5e853554f4cc6414eaf"),
+        (20011, 3, "479f19e88f65e7f2e34c2ae9b2757602a66a4d5f5f8077c32a67d6666c9dbafa"),
+        (4129, 2, "fa1eafc0b17ff6acbef556d5fe4ea43786f8a19ae8df5ee0a225ed500ff3dfdd"),
+        (20011, 2, "37a4f0d54824f4468dfbd9d0a505d1ff295bd2bd208caccfd5465338a0b27a1c"),
+        (1009, 5, "2678a49818ccc838736245fa60759089b12eb049c97b3856c66c5669979584ec"),
+        (1013, 7, "748457d7544a3b8210932eb3b6a8ae70efe6e028568614c5dd308bfee82d84a3"),
+    ],
+)
+def test_build_matches_recorded_graphs(p, ell, digest):
+    # the graph does not depend on the order in which vertices are built nor on
+    # which known roots the kernel divides out; digests recorded with a plain
+    # breadth-first build, from the CM seed (2797, 4129, 1009), j = 1728 (4643,
+    # 20011) and j = 0 (1013)
+    g = build_graph(p, ell)
+    assert hashlib.sha256(repr((g.vertices, g.out_edges, g.spine)).encode()).hexdigest() == digest
 
 
 def test_spine_flags_are_frobenius_fixed_points(graph_4643_3):
